@@ -20,6 +20,8 @@ module Gen = Symnet_graph.Gen
 module Network = Symnet_engine.Network
 module Runner = Symnet_engine.Runner
 module Domain_pool = Symnet_engine.Domain_pool
+module Sharded = Symnet_engine.Sharded_network
+module Chaos = Symnet_engine.Chaos
 module Fssga = Symnet_core.Fssga
 module View = Symnet_core.View
 module Jsonx = Symnet_obs.Jsonx
@@ -126,30 +128,122 @@ let assert_zero_alloc_view ~n =
       delta;
   (acts, delta, pass)
 
+(* A sparse wave for the dirty paths: one source in the middle of a
+   grid flips its neighbours from 0 to 1, so a warm round's frontier is
+   a ring of a few dozen nodes — small enough that the dirty round
+   drains and sorts its worklist rather than rescanning the flags (the
+   flood above keeps most nodes changing, which takes the rescan
+   path). *)
+let wave_net ~n =
+  let side = int_of_float (sqrt (float_of_int n)) in
+  let centre = (side / 2 * side) + (side / 2) in
+  let wave =
+    Fssga.deterministic ~name:"bench-wave"
+      ~init:(fun _g v -> if v = centre then 1 else 0)
+      ~step:(fun ~self view ->
+        if self = 0 && View.at_least view 1 1 then 1 else self)
+  in
+  Network.init ~rng:(rng 7) (Gen.grid ~rows:side ~cols:side) wave
+
+let flood_net ~n =
+  let g = Gen.random_connected (rng 46) ~n ~extra_edges:n in
+  Network.init ~rng:(rng 7) g flood_automaton
+
 (* The same bar for the full synchronous-round path — read phase, commit
    phase, and (since the profiling layer landed) the disabled span/clock
-   branches inside [Network.sync_step].  With no recorder attached the
-   whole round must stay at zero words per activation. *)
-let assert_zero_alloc_sync ~n =
-  let g = Gen.random_connected (rng 46) ~n ~extra_edges:n in
-  let net = Network.init ~rng:(rng 7) g flood_automaton in
+   branches inside [Network.sync_step] — and for the change-driven paths
+   on top of it: dirty flat and dirty 4-shard rounds, over both a dense
+   frontier (flag rescan) and a sparse one (worklist drain and sort;
+   the mode fails if its rounds rescanned instead), with closure-free
+   re-marking, frontier slices, outboxes and the direct exchange.  With
+   no recorder, pool or link attached, three warm rounds of each must
+   stay under the bar. *)
+let zero_alloc_rounds net step =
+  let step = step net in
   for _ = 1 to 2 do
-    ignore (Network.sync_step net)
+    ignore (step ())
   done;
   let a0 = Network.activations net in
+  let r0 = Network.frontier_rescans net in
   let w0 = Gc.minor_words () in
   for _ = 1 to 3 do
-    ignore (Network.sync_step net)
+    ignore (step ())
   done;
   let w1 = Gc.minor_words () in
-  let acts = Network.activations net - a0 in
-  let delta = w1 -. w0 in
-  let pass = delta < 64.0 in
-  if not pass then
-    Printf.printf
-      "  FAIL zero-alloc sync_step: %d activations allocated %.0f minor words\n"
-      acts delta;
-  (acts, delta, pass)
+  (Network.activations net - a0, w1 -. w0, Network.frontier_rescans net - r0)
+
+let assert_zero_alloc_sync ~n =
+  let sharded net =
+    let sh = Sharded.create ~shards:4 net in
+    fun () -> Sharded.step ~dirty:true sh
+  in
+  let dirty net () = Network.sync_step_dirty net in
+  let modes =
+    [
+      ("sync_step", flood_net, false, fun net () -> Network.sync_step net);
+      ("sync_step_dirty", flood_net, false, dirty);
+      ("sync_step_dirty (sparse)", wave_net, true, dirty);
+      ("sharded dirty step", flood_net, false, sharded);
+      ("sharded dirty step (sparse)", wave_net, true, sharded);
+    ]
+  in
+  List.fold_left
+    (fun (acts, words, pass) (name, mk, sparse, step) ->
+      let a, w, rescans = zero_alloc_rounds (mk ~n) step in
+      let ok = w < 64.0 && not (sparse && rescans > 0) in
+      if w >= 64.0 then
+        Printf.printf
+          "  FAIL zero-alloc %s: %d activations allocated %.0f minor words\n"
+          name a w;
+      if sparse && rescans > 0 then
+        Printf.printf
+          "  FAIL zero-alloc %s: %d of 3 frontiers rescanned, not drained\n"
+          name rescans;
+      (acts + a, Float.max words w, pass && ok))
+    (0, 0., true) modes
+
+(* --- chaos victim selection ------------------------------------------ *)
+
+(* Words allocated per victim pick by [Chaos.actions_due] with uniform
+   corrupt and crash targets, on a [side]x[side] grid with some nodes
+   dead (killed both before and after the liveness index is built, and
+   a few revived).  A pick resolves its victim by rank through the
+   graph's liveness index, so what it allocates (keyed rng splits, the
+   action) is a constant; materialising the live nodes per pick would
+   cost about 4n words. *)
+let victim_pick_words ~side =
+  let g = Gen.grid ~rows:side ~cols:side in
+  let n = Graph.original_size g in
+  let kill lo hi =
+    for i = lo to hi - 1 do
+      Graph.remove_node g (i * 7919 mod n)
+    done
+  in
+  let rounds = 100 in
+  let proc kind =
+    Chaos.Burst { at = 1; width = rounds; count = 4; kind; target = Chaos.Uniform }
+  in
+  let chaos =
+    Chaos.create ~seed:11 [ proc Chaos.Corrupt; proc (Chaos.Crash { downtime = 2 }) ]
+  in
+  kill 0 50;
+  ignore (Chaos.actions_due chaos ~round:1 g);
+  kill 50 100;
+  for i = 0 to 9 do
+    Graph.revive_node g (i * 7919 mod n)
+  done;
+  let picks = ref 0 in
+  let w0 = Gc.minor_words () in
+  for round = 1 to rounds do
+    picks := !picks + List.length (Chaos.actions_due chaos ~round g)
+  done;
+  let w1 = Gc.minor_words () in
+  (n, (w1 -. w0) /. float_of_int (max 1 !picks))
+
+(* The bound is fixed, far below the ~4n words of the list-building
+   pick at either size, and the same at both sizes: it may not grow
+   with n. *)
+let victim_words_bound = 256.0
 
 (* --- parallel synchronous rounds ------------------------------------- *)
 
@@ -207,8 +301,6 @@ let measure_parallel ~workload ~rounds ~domain_counts mk =
     domain_counts
 
 (* --- sharded runtime -------------------------------------------------- *)
-
-module Sharded = Symnet_engine.Sharded_network
 
 type sharded_sample = {
   sh_workload : string;
@@ -529,7 +621,11 @@ type results = {
   r_smoke : bool;
   r_samples : sample list;
   r_za : int * float * bool;  (* zero-alloc view: acts, words, pass *)
-  r_za_sync : int * float * bool;  (* zero-alloc sync_step *)
+  r_za_sync : int * float * bool;
+      (* zero-alloc rounds over the five modes of [assert_zero_alloc_sync]
+         (naive; dense and sparse dirty flat; dense and sparse dirty
+         sharded): activations summed, words the worst mode's, pass *)
+  r_picks : (int * float) list;  (* victim picks: n, words per pick *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -552,6 +648,7 @@ let ok r =
   let _, _, za = r.r_za in
   let _, _, za_sync = r.r_za_sync in
   za && za_sync
+  && List.for_all (fun (_, w) -> w <= victim_words_bound) r.r_picks
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -599,9 +696,16 @@ let collect ?(smoke = false) ?domains () =
     (if za_pass then "ok" else "FAIL");
   let zs_acts, zs_words, zs_pass = assert_zero_alloc_sync ~n in
   Printf.printf
-    "  zero-alloc sync_step:  %d activations, %.0f minor words: %s\n" zs_acts
-    zs_words
+    "  zero-alloc rounds:     %d activations, worst %.0f minor words: %s\n"
+    zs_acts zs_words
     (if zs_pass then "ok" else "FAIL");
+  let picks = List.map (fun side -> victim_pick_words ~side) [ 142; 284 ] in
+  List.iter
+    (fun (pn, w) ->
+      Printf.printf "  victim picks n=%-6d %6.1f words/pick (bound %.0f): %s\n"
+        pn w victim_words_bound
+        (if w <= victim_words_bound then "ok" else "FAIL"))
+    picks;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -741,6 +845,7 @@ let collect ?(smoke = false) ?domains () =
       r_samples = samples;
       r_za = (za_acts, za_words, za_pass);
       r_za_sync = (zs_acts, zs_words, zs_pass);
+      r_picks = picks;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -770,6 +875,17 @@ let doc_of r =
       ("baseline", baseline_json);
       ("zero_alloc_view", za_json r.r_za);
       ("zero_alloc_sync", za_json r.r_za_sync);
+      ( "victim_picks",
+        Jsonx.List
+          (List.map
+             (fun (pn, w) ->
+               Jsonx.Obj
+                 [
+                   ("n", Jsonx.Int pn);
+                   ("words_per_pick", Jsonx.Float w);
+                   ("pass", Jsonx.Bool (w <= victim_words_bound));
+                 ])
+             r.r_picks) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

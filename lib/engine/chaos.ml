@@ -31,16 +31,13 @@ let link t = t.link
    value fires the same faults at the same rounds whatever the domain
    count, and a rollback that restores the graph replays them exactly. *)
 
-let live_nodes_arr g =
-  let acc = ref [] in
-  for v = Graph.original_size g - 1 downto 0 do
-    if Graph.is_live_node g v then acc := v :: !acc
-  done;
-  Array.of_list !acc
-
+(* The draw [Prng.choose] would make over the ascending array of live
+   nodes, resolved by rank through the graph's liveness index instead
+   of materialising that array: O(log n) per pick, not O(n). *)
 let pick_uniform rng g =
-  let live = live_nodes_arr g in
-  if Array.length live = 0 then None else Some (Prng.choose rng live)
+  match Graph.node_count g with
+  | 0 -> None
+  | live -> Some (Graph.nth_live_node g (Prng.int rng live))
 
 let pick_node rng g ~round = function
   | Uniform -> pick_uniform rng g

@@ -184,13 +184,18 @@ let fault_applies t c f =
    event stream and every counter are deterministic. *)
 let exchange_channel t c ~round ~batch ~deliver ~recorder =
   let rel = t.spec.reliable in
-  (* 1. admission: sequence the new batch, respecting the in-flight cap *)
+  (* 1. admission: sequence the new batch, respecting the in-flight cap.
+     The admitted messages are collected in order and appended to the
+     unacked list once: O(in-flight + batch) per round, where appending
+     each message would be quadratic in the in-flight count under the
+     unbounded cap. *)
   let fresh = ref [] in
   if rel then begin
     List.iter (fun m -> c.deferred <- m :: c.deferred) batch;
     let queue = List.rev c.deferred in
     let cap = t.spec.cap in
-    let in_flight = ref (List.length c.unacked) in
+    (* the in-flight count only matters under a cap (0 = unbounded) *)
+    let in_flight = ref (if cap > 0 then List.length c.unacked else 0) in
     let still_deferred = ref [] in
     List.iter
       (fun (slot, state) ->
@@ -206,11 +211,11 @@ let exchange_channel t c ~round ~batch ~deliver ~recorder =
           in
           c.next_seq <- c.next_seq + 1;
           incr in_flight;
-          c.unacked <- c.unacked @ [ p ];
           fresh := p :: !fresh
         end
         else still_deferred := (slot, state) :: !still_deferred)
       queue;
+    if !fresh <> [] then c.unacked <- c.unacked @ List.rev !fresh;
     c.deferred <- !still_deferred;
     (* keep reversed-FIFO invariant *)
     if c.deferred <> [] then begin

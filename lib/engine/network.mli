@@ -116,7 +116,14 @@ val set_par_cutoff : 'q t -> int -> unit
     Tracking begins at the first dirty call (everything starts dirty) and
     is thereafter maintained by every mutation path ([activate],
     [sync_step], [set_state]).  Fault application must be reported via
-    {!mark_dirty} / {!mark_dirty_around}; {!Runner.run} does this. *)
+    {!mark_dirty} / {!mark_dirty_around}; {!Runner.run} does this.
+
+    A dirty round costs its frontier, not n: every mark that raises a
+    flag also queues the node on a worklist, and a round takes its
+    frontier by draining and sorting that worklist.  Paths that write
+    flags wholesale (the first round, {!reconcile_graph}, {!restore},
+    parallel quiet commits, the rotor pass) leave the worklist
+    incomplete, and the next round rescans the flags instead. *)
 
 val sync_step_dirty : 'q t -> bool
 (** {!sync_step}, stepping only dirty nodes. *)
@@ -285,6 +292,28 @@ val raw_node_rngs : 'q t -> Prng.t array
 val ensure_dirty_tracking : 'q t -> unit
 (** Start dirty tracking (everything dirty) if it hasn't started. *)
 
+val take_frontier : 'q t -> int
+(** Take a dirty round's frontier: the live dirty nodes, ascending, land
+    in [raw_frontier t] at indices [0 .. k-1] (k is returned) with their
+    flags cleared; dead dirty nodes stay dirty for a later round.  Drains
+    the dirty worklist and radix-sorts it, O(w) per digit for w queued
+    nodes, or — when the worklist is invalid or overflowed — rescans the
+    flags in O(n) and rebuilds it.  Tracking must have started. *)
+
+val raw_frontier : 'q t -> int array
+(** The buffer {!take_frontier} fills. *)
+
+val invalidate_worklist : 'q t -> unit
+(** Declare the dirty worklist incomplete, so the next
+    {!take_frontier} rescans the flags.  Required before committing
+    from several domains at once ({!commit_node_quiet} in parallel):
+    their re-marks would race on the worklist, and an invalid worklist
+    is never written. *)
+
+val frontier_rescans : 'q t -> int
+(** How many frontiers were taken by a full flag rescan rather than
+    from the worklist (diagnostics and tests). *)
+
 val commit_node : 'q t -> int -> 'q -> bool
 (** Commit one node's next state with full bookkeeping: transition
     counter, dirty re-marking, recorder activation hook, epoch.  This is
@@ -295,7 +324,8 @@ val commit_node : 'q t -> int -> 'q -> bool
 val commit_node_quiet : 'q t -> int -> 'q -> bool
 (** Commit one node without the recorder hook or the shared transition
     counter (count per shard, then {!add_transitions}).  Safe to call
-    concurrently on distinct nodes; the dirty re-marks race benignly. *)
+    concurrently on distinct nodes once {!invalidate_worklist} has run;
+    the dirty re-marks then race benignly. *)
 
 val add_activations : 'q t -> int -> unit
 (** Add to the activation counter (merged per-shard read counts). *)

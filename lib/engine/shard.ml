@@ -148,6 +148,18 @@ let build ~(csr : Graph.csr) ~boundaries ~(states : 'q array) : 'q t array =
           out_pos.(o).(li) <- c + 1)
         ids)
     ghost_ids;
+  (* outbox s -> p carries at most one message per ghost that p holds of
+     a node of s per round (a node commits at most once), so sizing it
+     to that count here means steady-state pushes never grow it *)
+  let out_cap = Array.init k (fun _ -> Array.make k 0) in
+  Array.iteri
+    (fun p ids ->
+      Array.iter
+        (fun gid ->
+          let o = owner.(gid) in
+          out_cap.(o).(p) <- out_cap.(o).(p) + 1)
+        ids)
+    ghost_ids;
   (* pass 3: the shard records *)
   let gpos = Array.make (max n 1) 0 in
   Array.init k (fun s ->
@@ -177,7 +189,13 @@ let build ~(csr : Graph.csr) ~boundaries ~(states : 'q array) : 'q t array =
         out_peer = out_peer.(s);
         out_slot = out_slot.(s);
         outboxes =
-          Array.init k (fun _ -> { q_slots = [||]; q_states = [||]; q_len = 0 });
+          Array.init k (fun p ->
+              let c = out_cap.(s).(p) in
+              {
+                q_slots = Array.make c 0;
+                q_states = (if c = 0 then [||] else Array.make c states.(lo));
+                q_len = 0;
+              });
         frontier = Array.make nl 0;
         n_front = 0;
         scratch = View.scratch ();
@@ -207,31 +225,35 @@ let read_one sh ~(csr : Graph.csr) ~(aut : 'q Fssga.t) ~rng v =
   done;
   sh.next.(v - sh.lo) <- aut.Fssga.step ~self:sh.states.(v - sh.lo) ~rng scratch
 
-(* Step every live node of the range ([dirty] = [||]) or only the live
-   dirty ones, packing the stepped set into [frontier] (ascending).
-   Returns the stepped count — the shard's activation contribution. *)
-let read sh ~(csr : Graph.csr) ~aut ~det ~shared_rng ~(rngs : Prng.t array)
-    ~(dirty : bool array) =
+(* This round's stepped set, ascending, is loaded into [frontier] before
+   the read: every live owned node for a naive round, or the shard's
+   slice of the sorted dirty frontier for a dirty one. *)
+let load_live sh ~(csr : Graph.csr) =
   let node_alive = csr.Graph.csr_node_alive in
-  let use_dirty = Array.length dirty > 0 in
   let kf = ref 0 in
   for v = sh.lo to sh.hi - 1 do
-    if node_alive.(v) && ((not use_dirty) || dirty.(v)) then begin
+    if node_alive.(v) then begin
       sh.frontier.(!kf) <- v;
-      incr kf;
-      let rng = if det then shared_rng else rngs.(v) in
-      read_one sh ~csr ~aut ~rng v
+      incr kf
     end
   done;
-  sh.n_front <- !kf;
-  !kf
+  sh.n_front <- !kf
+
+let load_slice sh (front : int array) ~first ~stop =
+  Array.blit front first sh.frontier 0 (stop - first);
+  sh.n_front <- stop - first
+
+(* Step the loaded set.  Returns the stepped count — the shard's
+   activation contribution. *)
+let read sh ~(csr : Graph.csr) ~aut ~det ~shared_rng ~(rngs : Prng.t array) =
+  for i = 0 to sh.n_front - 1 do
+    let v = sh.frontier.(i) in
+    let rng = if det then shared_rng else rngs.(v) in
+    read_one sh ~csr ~aut ~rng v
+  done;
+  sh.n_front
 
 let stepped sh = sh.n_front
-
-let clear_stepped sh (dirty : bool array) =
-  for i = 0 to sh.n_front - 1 do
-    dirty.(sh.frontier.(i)) <- false
-  done
 
 (* --- commit phase ------------------------------------------------------ *)
 
@@ -323,13 +345,26 @@ let deliver sh ~slot ~state =
 
 (* Refresh local copies and ghosts from the flat state array (the
    authority) and drop any undelivered messages — used after external
-   state writes (faults, [set_state], [restore]) moved the epoch. *)
+   state writes (faults, [set_state], [restore]) moved the epoch.  A
+   cell is written only when it does not already hold the authority's
+   value (physically): the external writes that trigger a resync touch
+   a handful of nodes, and every cell left alone is a write barrier
+   saved.  Every ghost is still compared, so link-fault semantics are
+   untouched. *)
 let resync sh ~(states : 'q array) =
-  Array.blit states sh.lo sh.states 0 sh.n_local;
-  for j = 0 to Array.length sh.ghost_ids - 1 do
-    sh.ghosts.(j) <- states.(sh.ghost_ids.(j))
+  let loc = sh.states in
+  for li = 0 to sh.n_local - 1 do
+    let q = states.(sh.lo + li) in
+    if q != loc.(li) then loc.(li) <- q
   done;
-  Array.iter (fun q -> q.q_len <- 0) sh.outboxes
+  let ghosts = sh.ghosts and ids = sh.ghost_ids in
+  for j = 0 to Array.length ids - 1 do
+    let q = states.(ids.(j)) in
+    if q != ghosts.(j) then ghosts.(j) <- q
+  done;
+  for d = 0 to Array.length sh.outboxes - 1 do
+    sh.outboxes.(d).q_len <- 0
+  done
 
 type 'q snap = { sn_states : 'q array; sn_ghosts : 'q array }
 

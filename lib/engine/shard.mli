@@ -25,6 +25,15 @@ val build : csr:Graph.csr -> boundaries:int array -> states:'q array -> 'q t arr
 
 (** {1 Round phases} *)
 
+val load_live : 'q t -> csr:Graph.csr -> unit
+(** Load every live owned node, ascending, as this round's stepped set
+    (a naive round). *)
+
+val load_slice : 'q t -> int array -> first:int -> stop:int -> unit
+(** Load [front.(first .. stop-1)] as this round's stepped set: the
+    shard's contiguous slice of the ascending dirty frontier (every id
+    in the slice must be an owned live node). *)
+
 val read :
   'q t ->
   csr:Graph.csr ->
@@ -32,21 +41,15 @@ val read :
   det:bool ->
   shared_rng:Prng.t ->
   rngs:Prng.t array ->
-  dirty:bool array ->
   int
-(** Step every live node of the range against the frozen local+ghost
-    snapshot ([dirty = [||]]), or only the live dirty ones, packing the
-    stepped set into the shard's frontier (ascending).  Views are
-    bit-identical to [Graph.iter_neighbours] fills; probabilistic nodes
-    draw from [rngs.(v)], deterministic ones see [shared_rng] — exactly
-    the flat engine's rng selection.  Returns the stepped count. *)
+(** Step the loaded set against the frozen local+ghost snapshot.  Views
+    are bit-identical to [Graph.iter_neighbours] fills; probabilistic
+    nodes draw from [rngs.(v)], deterministic ones see [shared_rng] —
+    exactly the flat engine's rng selection.  Returns the stepped
+    count. *)
 
 val stepped : 'q t -> int
 (** Nodes stepped by the last {!read} (the frontier size). *)
-
-val clear_stepped : 'q t -> bool array -> unit
-(** Clear the dirty flags of the stepped set (between read and commit,
-    mirroring the flat dirty step's ordering). *)
 
 val commit_quiet : 'q t -> net:'q Network.t -> int
 (** Commit the stepped set through {!Network.commit_node_quiet},
@@ -87,7 +90,10 @@ val deliver : 'q t -> slot:int -> state:'q -> bool
 
 val resync : 'q t -> states:'q array -> unit
 (** Refresh local copies and ghosts from the flat state array and drop
-    undelivered messages (after external writes moved the epoch). *)
+    undelivered messages (after external writes moved the epoch).
+    Writes only the cells that are not physically equal to the flat
+    state, so a resync after a few external writes costs a read pass
+    over the shard, not a write barrier per cell. *)
 
 type 'q snap
 

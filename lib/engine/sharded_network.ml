@@ -221,117 +221,66 @@ let maybe_rebalance t =
 
 (* --- one synchronous round --------------------------------------------- *)
 
-let step ?pool ?(dirty = false) t =
+(* The round's phases are top-level functions taking what they need as
+   arguments: a local closure capturing the round's context would be
+   allocated on every round, and a dirty round with no pool, recorder or
+   link must allocate nothing. *)
+
+(* First position in [front.(first .. stop-1)] (ascending) holding an
+   id >= [bound]. *)
+let lower_bound (front : int array) ~first ~stop bound =
+  let a = ref first and b = ref stop in
+  while !a < !b do
+    let m = (!a + !b) lsr 1 in
+    if front.(m) < bound then a := m + 1 else b := m
+  done;
+  !a
+
+(* Take the dirty frontier and hand each shard its contiguous slice,
+   cut at the shard boundaries. *)
+let load_frontier t =
   let net = t.net in
-  if Network.state_epoch net <> t.seen_epoch then resync t;
-  maybe_rebalance t;
-  let aut = Network.automaton net in
-  let det = Fssga.is_deterministic aut in
-  let shared_rng = Network.rng net in
-  let rngs = if det then [||] else Network.raw_node_rngs net in
-  if dirty then begin
-    Network.ensure_dirty_tracking net;
-    Network.reconcile_graph net
-  end;
-  let dirtyb = if dirty then Network.raw_dirty net else [||] in
-  let recorder = Network.recorder net in
-  let sp = Recorder.spans recorder in
-  let rd = Recorder.round recorder in
-  let rec_on = Recorder.enabled recorder in
-  let k = t.k in
-  let shards = t.shards in
-  let par =
-    match pool with
-    | Some pool
-      when Domain_pool.size pool > 1
-           && Array.length (Network.raw_states net) >= Network.par_cutoff net
-      -> Some pool
-    | _ -> None
-  in
-  (* read: shard-local, frozen snapshot, parallel over the pool *)
-  let c0 = Clock.now_ns () in
-  let read_shard s =
-    let t0 = Span.now sp in
-    ignore
-      (Shard.read shards.(s) ~csr:t.csr ~aut ~det ~shared_rng ~rngs
-         ~dirty:dirtyb);
-    Span.record sp Span.Shard_read ~shard:s ~round:rd ~t0
-  in
-  (match par with
-  | Some pool ->
-      Domain_pool.run pool ~n:k (fun _slot lo hi ->
-          for s = lo to hi - 1 do
-            read_shard s
-          done)
-  | None ->
-      for s = 0 to k - 1 do
-        read_shard s
-      done);
-  let stepped = ref 0 in
-  Array.iter (fun sh -> stepped := !stepped + Shard.stepped sh) shards;
-  Network.add_activations net !stepped;
-  if dirty then begin
-    Recorder.frontier recorder ~size:!stepped;
-    (* consumed: clear before committing, so commit-phase re-marks of
-       changed neighbourhoods are never lost — the flat dirty order *)
-    Array.iter (fun sh -> Shard.clear_stepped sh dirtyb) shards
-  end;
-  let c1 = Clock.now_ns () in
-  t.read_ns <- t.read_ns + (c1 - c0);
-  (* commit: to the flat array (authority), local copies and outboxes *)
-  let any =
-    if rec_on then begin
-      (* sequential, shard- then node-ascending = flat ascending order:
-         the recorder's activation stream is byte-identical *)
-      let t0 = Span.now sp in
-      let any = ref false in
-      for s = 0 to k - 1 do
-        if Shard.commit_recorded shards.(s) ~net > 0 then any := true
-      done;
-      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
-      !any
-    end
-    else begin
-      (match par with
-      | Some pool ->
-          Domain_pool.run pool ~n:k (fun _slot lo hi ->
-              for s = lo to hi - 1 do
-                ignore (Shard.commit_quiet shards.(s) ~net)
-              done)
-      | None ->
-          for s = 0 to k - 1 do
-            ignore (Shard.commit_quiet shards.(s) ~net)
-          done);
-      let ch = ref 0 in
-      Array.iter (fun sh -> ch := !ch + Shard.last_committed sh) shards;
-      Network.add_transitions net !ch;
-      !ch > 0
-    end
-  in
-  let c2 = Clock.now_ns () in
-  t.commit_ns <- t.commit_ns + (c2 - c1);
-  (* exchange: drain inboxes in (source shard, seq) order per
-     destination; destinations are independent, so this parallelizes *)
-  let drain_dst d =
-    let t0 = Span.now sp in
-    t.per_dst.(d) <- Shard.drain shards d;
-    Span.record sp Span.Shard_exchange ~shard:d ~round:rd ~t0
-  in
-  (* With a link runtime the exchange runs the fault/retry pipeline
-     instead of the direct drain.  Always sequential, destination- then
-     source-ascending on one domain: the link layer's event stream and
-     counters must not depend on drain interleaving (chaos runs are
-     about determinism, not exchange throughput). *)
-  (* A late (retransmitted/delayed) delivery can land on a round with no
-     local transitions; if it changed a ghost, the next round will
-     transition — so it must count as activity or the run quiesces one
-     round early with the update unread. *)
+  Network.ensure_dirty_tracking net;
+  Network.reconcile_graph net;
+  let f = Network.take_frontier net in
+  let front = Network.raw_frontier net in
+  let p = ref 0 in
+  for s = 0 to t.k - 1 do
+    let sh = t.shards.(s) in
+    let stop = lower_bound front ~first:!p ~stop:f (Shard.hi sh) in
+    Shard.load_slice sh front ~first:!p ~stop;
+    p := stop
+  done
+
+let read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s =
+  let t0 = Span.now sp in
+  let sh = t.shards.(s) in
+  if not dirty then Shard.load_live sh ~csr:t.csr;
+  ignore (Shard.read sh ~csr:t.csr ~aut ~det ~shared_rng ~rngs);
+  Span.record sp Span.Shard_read ~shard:s ~round:rd ~t0
+
+let drain_dst t ~sp ~rd d =
+  let t0 = Span.now sp in
+  t.per_dst.(d) <- Shard.drain t.shards d;
+  Span.record sp Span.Shard_exchange ~shard:d ~round:rd ~t0
+
+(* With a link runtime the exchange runs the fault/retry pipeline
+   instead of the direct drain.  Always sequential, destination- then
+   source-ascending on one domain: the link layer's event stream and
+   counters must not depend on drain interleaving (chaos runs are about
+   determinism, not exchange throughput).  Returns whether a late
+   (retransmitted/delayed) delivery changed a ghost: that can happen on
+   a round with no local transitions, and the next round will transition
+   — so it must count as activity or the run quiesces one round early
+   with the update unread. *)
+let exchange_link t lk ~dirty ~recorder ~sp ~rd =
+  let net = t.net and shards = t.shards in
   let ghost_woke = ref false in
-  let drain_dst_link lk d =
+  for d = 0 to t.k - 1 do
     let t0 = Span.now sp in
     let dsh = shards.(d) in
     let delivered = ref 0 in
-    for s = 0 to k - 1 do
+    for s = 0 to t.k - 1 do
       if s <> d then begin
         let ssh = shards.(s) in
         let len = Shard.outbox_len ssh ~dst:d in
@@ -358,30 +307,125 @@ let step ?pool ?(dirty = false) t =
     done;
     t.per_dst.(d) <- !delivered;
     Span.record sp Span.Link_exchange ~shard:d ~round:rd ~t0
+  done;
+  !ghost_woke
+
+let step ?pool ?(dirty = false) t =
+  let net = t.net in
+  let recorder = Network.recorder net in
+  let sp = Recorder.spans recorder in
+  let rd = Recorder.round recorder in
+  let rec_on = Recorder.enabled recorder in
+  if Network.state_epoch net <> t.seen_epoch then begin
+    let t0 = Span.now sp in
+    resync t;
+    Span.record sp Span.Shard_resync ~shard:0 ~round:rd ~t0
+  end;
+  maybe_rebalance t;
+  let aut = Network.automaton net in
+  let det = Fssga.is_deterministic aut in
+  let shared_rng = Network.rng net in
+  let rngs = if det then [||] else Network.raw_node_rngs net in
+  let k = t.k in
+  let shards = t.shards in
+  let par =
+    match pool with
+    | Some pool
+      when Domain_pool.size pool > 1
+           && Array.length (Network.raw_states net) >= Network.par_cutoff net
+      -> Some pool
+    | _ -> None
   in
-  let links_busy =
+  let c0 = Clock.now_ns () in
+  (* frontier: the flags are consumed here (cleared as the frontier is
+     taken), so commit-phase re-marks of changed neighbourhoods are never
+     lost — the flat dirty order *)
+  if dirty then begin
+    let t0 = Span.now sp in
+    load_frontier t;
+    Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0
+  end;
+  (* read: shard-local, frozen snapshot, parallel over the pool *)
+  (match par with
+  | Some pool ->
+      Domain_pool.run pool ~n:k (fun _slot lo hi ->
+          for s = lo to hi - 1 do
+            read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s
+          done)
+  | None ->
+      for s = 0 to k - 1 do
+        read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s
+      done);
+  let stepped = ref 0 in
+  for s = 0 to k - 1 do
+    stepped := !stepped + Shard.stepped shards.(s)
+  done;
+  Network.add_activations net !stepped;
+  if dirty then Recorder.frontier recorder ~size:!stepped;
+  let c1 = Clock.now_ns () in
+  t.read_ns <- t.read_ns + (c1 - c0);
+  (* commit: to the flat array (authority), local copies and outboxes *)
+  let any =
+    if rec_on then begin
+      (* sequential, shard- then node-ascending = flat ascending order:
+         the recorder's activation stream is byte-identical *)
+      let t0 = Span.now sp in
+      let any = ref false in
+      for s = 0 to k - 1 do
+        if Shard.commit_recorded shards.(s) ~net > 0 then any := true
+      done;
+      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
+      !any
+    end
+    else begin
+      (match par with
+      | Some pool ->
+          (* concurrent re-marks would race on the dirty worklist *)
+          Network.invalidate_worklist net;
+          Domain_pool.run pool ~n:k (fun _slot lo hi ->
+              for s = lo to hi - 1 do
+                ignore (Shard.commit_quiet shards.(s) ~net)
+              done)
+      | None ->
+          for s = 0 to k - 1 do
+            ignore (Shard.commit_quiet shards.(s) ~net)
+          done);
+      let ch = ref 0 in
+      for s = 0 to k - 1 do
+        ch := !ch + Shard.last_committed shards.(s)
+      done;
+      Network.add_transitions net !ch;
+      !ch > 0
+    end
+  in
+  let c2 = Clock.now_ns () in
+  t.commit_ns <- t.commit_ns + (c2 - c1);
+  (* exchange: drain inboxes in (source shard, seq) order per
+     destination; destinations are independent, so this parallelizes *)
+  let links_busy, ghost_woke =
     match t.link with
     | Some lk ->
         t.link_round <- t.link_round + 1;
-        for d = 0 to k - 1 do
-          drain_dst_link lk d
-        done;
-        Link.busy lk
+        let woke = exchange_link t lk ~dirty ~recorder ~sp ~rd in
+        (Link.busy lk, woke)
     | None ->
         (match par with
         | Some pool ->
             Domain_pool.run pool ~n:k (fun _slot lo hi ->
                 for d = lo to hi - 1 do
-                  drain_dst d
+                  drain_dst t ~sp ~rd d
                 done)
         | None ->
             for d = 0 to k - 1 do
-              drain_dst d
+              drain_dst t ~sp ~rd d
             done);
-        false
+        (false, false)
   in
-  let msgs = Array.fold_left ( + ) 0 t.per_dst in
-  t.messages <- t.messages + msgs;
+  let msgs = ref 0 in
+  for d = 0 to k - 1 do
+    msgs := !msgs + t.per_dst.(d)
+  done;
+  t.messages <- t.messages + !msgs;
   let c3 = Clock.now_ns () in
   t.exchange_ns <- t.exchange_ns + (c3 - c2);
   if rec_on then Recorder.exchange_ns recorder ~ns:(c3 - c2);
@@ -390,7 +434,7 @@ let step ?pool ?(dirty = false) t =
   (* in-flight traffic keeps the round "active": the run must not
      quiesce while a channel still owes deliveries or retransmits, nor
      on the round a late delivery just changed a ghost *)
-  any || links_busy || !ghost_woke
+  any || links_busy || ghost_woke
 
 (* --- checkpoint / restore ---------------------------------------------- *)
 

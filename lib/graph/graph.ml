@@ -20,6 +20,11 @@ type t = {
   mutable live_nodes : int;
   mutable live_edges : int;
   mutable version : int; (* bumped on every effective deletion *)
+  mutable live_index : int array;
+      (* Fenwick (binary indexed) tree over node liveness, 1-indexed with
+         n + 1 cells, backing [nth_live_node]; [||] until the first call
+         builds it.  The fault primitives keep it current in O(log n);
+         [copy] does not carry it and [restore] drops it. *)
 }
 
 let original_size g = g.n
@@ -82,14 +87,19 @@ let create ~n ~edges =
     live_nodes = n;
     live_edges = m;
     version = 0;
+    live_index = [||];
   }
 
+(* The liveness index is not copied: copies back snapshots
+   ([View.take]) that never ask for a node by rank, and a copy that does
+   builds its own. *)
 let copy g =
   {
     g with
     node_alive = Array.copy g.node_alive;
     edge_alive = Array.copy g.edge_alive;
     deg = Array.copy g.deg;
+    live_index = [||];
   }
 
 let node_count g = g.live_nodes
@@ -147,6 +157,56 @@ let nodes g =
   !acc
 
 let version g = g.version
+
+(* --- liveness rank index ------------------------------------------------ *)
+
+(* [live_index.(i)] holds the number of live nodes among ids
+   [i - lowbit i .. i - 1] (Fenwick layout, 1-indexed), so a liveness
+   flip touches O(log n) cells and the k-th live node is one O(log n)
+   descent.  Built lazily: most graphs are never asked for a node by
+   rank, and those that are (chaos victim selection) pay the O(n) build
+   once, inside the run that needs it. *)
+
+let index_add idx v d =
+  let n = Array.length idx - 1 in
+  let i = ref (v + 1) in
+  while !i <= n do
+    idx.(!i) <- idx.(!i) + d;
+    i := !i + (!i land (- !i))
+  done
+
+let build_live_index g =
+  let idx = Array.make (g.n + 1) 0 in
+  for v = 0 to g.n - 1 do
+    if g.node_alive.(v) then idx.(v + 1) <- 1
+  done;
+  for i = 1 to g.n do
+    let j = i + (i land (-i)) in
+    if j <= g.n then idx.(j) <- idx.(j) + idx.(i)
+  done;
+  idx
+
+let nth_live_node g k =
+  if k < 0 || k >= g.live_nodes then
+    invalid_arg (Printf.sprintf "Graph.nth_live_node: rank %d out of range" k);
+  if Array.length g.live_index = 0 then g.live_index <- build_live_index g;
+  let idx = g.live_index in
+  (* descend from the largest power of two <= n: [pos] is the longest
+     prefix holding at most k live nodes, so node [pos] is the k-th *)
+  let step = ref 1 in
+  while !step * 2 <= g.n do
+    step := !step * 2
+  done;
+  let pos = ref 0 and rem = ref (k + 1) in
+  while !step > 0 do
+    let nxt = !pos + !step in
+    if nxt <= g.n && idx.(nxt) < !rem then begin
+      pos := nxt;
+      rem := !rem - idx.(nxt)
+    end;
+    step := !step lsr 1
+  done;
+  !pos
 
 let max_degree g =
   let m = ref 0 in
@@ -224,6 +284,7 @@ let remove_node g v =
     g.deg.(v) <- 0;
     g.node_alive.(v) <- false;
     g.live_nodes <- g.live_nodes - 1;
+    if Array.length g.live_index > 0 then index_add g.live_index v (-1);
     g.version <- g.version + 1
   end
 
@@ -246,6 +307,7 @@ let revive_node g v =
     g.deg.(v) <- !back;
     g.live_edges <- g.live_edges + !back;
     g.live_nodes <- g.live_nodes + 1;
+    if Array.length g.live_index > 0 then index_add g.live_index v 1;
     g.version <- g.version + 1
   end
 
@@ -278,6 +340,9 @@ let restore g s =
   Array.blit s.s_deg 0 g.deg 0 g.n;
   g.live_nodes <- s.s_live_nodes;
   g.live_edges <- s.s_live_edges;
+  (* every bit may have moved: drop the index, the next rank query
+     rebuilds it *)
+  g.live_index <- [||];
   (* BUMP, never assign the snapshotted counter back.  Restoring the old
      value made the counter collide: a rollback-then-diverge run could
      re-reach a previously seen version with *different* liveness, and
@@ -379,6 +444,7 @@ let of_adjacency ~n ~degree ~iter =
     live_nodes = n;
     live_edges = m;
     version = 0;
+    live_index = [||];
   }
 
 let pp fmt g =

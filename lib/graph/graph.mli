@@ -90,6 +90,15 @@ val version : t -> int
 val nodes : t -> int list
 (** Live nodes, ascending. *)
 
+val nth_live_node : t -> int -> int
+(** [nth_live_node g k] is the [k]-th live node in ascending id order
+    ([k] from 0), i.e. [List.nth (nodes g) k], in O(log n).  Backed by
+    a Fenwick tree over node liveness that the first call builds (O(n))
+    and that {!remove_node} / {!revive_node} then update in O(log n);
+    {!restore} drops it and {!copy} does not carry it, so neither pays
+    for it.
+    @raise Invalid_argument unless [0 <= k < node_count g]. *)
+
 val edges : t -> edge list
 (** Live edges, ascending by id. *)
 

@@ -13,6 +13,8 @@ type phase =
   | Link_exchange
   | Serve_snapshot
   | Serve_request
+  | Frontier
+  | Shard_resync
 
 let phase_name = function
   | Round -> "round"
@@ -29,6 +31,8 @@ let phase_name = function
   | Link_exchange -> "link_exchange"
   | Serve_snapshot -> "serve_snapshot"
   | Serve_request -> "serve_request"
+  | Frontier -> "frontier"
+  | Shard_resync -> "shard_resync"
 
 let phase_tag = function
   | Round -> 0
@@ -45,6 +49,8 @@ let phase_tag = function
   | Serve_snapshot -> 11
   | Serve_request -> 12
   | Link_exchange -> 13
+  | Frontier -> 14
+  | Shard_resync -> 15
 
 let phase_of_tag = function
   | 0 -> Round
@@ -60,6 +66,8 @@ let phase_of_tag = function
   | 11 -> Serve_snapshot
   | 12 -> Serve_request
   | 13 -> Link_exchange
+  | 14 -> Frontier
+  | 15 -> Shard_resync
   | _ -> Recovery
 
 (* Parallel int arrays rather than an array of records: record stores

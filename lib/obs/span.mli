@@ -48,6 +48,13 @@ type phase =
   | Serve_request
       (** the serve daemon answering one client request (decode, query
           evaluation against the snapshot, encode) *)
+  | Frontier
+      (** taking a dirty round's frontier: draining and sorting the
+          dirty worklist (or rescanning the flags when it is invalid),
+          and in the sharded runtime handing each shard its slice *)
+  | Shard_resync
+      (** the sharded runtime refreshing shard-local copies and ghosts
+          from the flat states after an external state write *)
 
 val phase_name : phase -> string
 (** Stable lower-snake name, used as the Chrome-trace event name. *)
