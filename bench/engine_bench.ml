@@ -17,6 +17,7 @@
 module Prng = Symnet_prng.Prng
 module Graph = Symnet_graph.Graph
 module Gen = Symnet_graph.Gen
+module Analysis = Symnet_graph.Analysis
 module Network = Symnet_engine.Network
 module Runner = Symnet_engine.Runner
 module Domain_pool = Symnet_engine.Domain_pool
@@ -244,6 +245,52 @@ let victim_pick_words ~side =
    pick at either size, and the same at both sizes: it may not grow
    with n. *)
 let victim_words_bound = 256.0
+
+(* --- analysis kernels ------------------------------------------------- *)
+
+(* Minor words per call of the CSR analysis kernels the serve daemon
+   answers from, on a [side]x[side] grid with some nodes and edges
+   dead, beyond the 3 words per cell of the list a kernel returns.
+   Their working arrays (distances, labels, low-links, frames, marks,
+   the BFS queue) are past the minor heap's size limit at these
+   sizes, so what a call puts on the minor heap is a constant: a few
+   small records and closures.  The Queue-, closure- and edge-list-based
+   kernels they replaced allocated 0.9 M (distances), 1.8 M (component
+   labelling) and 9.9 M (bridges) words per call at side 317. *)
+let analysis_words ~side =
+  let g = Gen.grid ~rows:side ~cols:side in
+  let n = Graph.original_size g and m = Graph.edge_count g in
+  for i = 0 to 99 do
+    Graph.remove_node g (i * 7919 mod n)
+  done;
+  for i = 0 to 99 do
+    Graph.remove_edge g (i * 104_729 mod m)
+  done;
+  let sources = [ Graph.nth_live_node g (Graph.node_count g / 2) ] in
+  let calls = 3 in
+  let per_call f =
+    let cells = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      cells := !cells + f ()
+    done;
+    let w1 = Gc.minor_words () in
+    (w1 -. w0 -. (3. *. float_of_int !cells)) /. float_of_int calls
+  in
+  ( n,
+    [
+      ( "distances",
+        per_call (fun () ->
+            ignore (Analysis.distances g ~sources);
+            0) );
+      ( "component_labels",
+        per_call (fun () ->
+            ignore (Analysis.component_labels g);
+            0) );
+      ("bridges", per_call (fun () -> List.length (Analysis.bridges g)));
+    ] )
+
+let analysis_words_bound = 64.0
 
 (* --- parallel synchronous rounds ------------------------------------- *)
 
@@ -626,6 +673,8 @@ type results = {
          (naive; dense and sparse dirty flat; dense and sparse dirty
          sharded): activations summed, words the worst mode's, pass *)
   r_picks : (int * float) list;  (* victim picks: n, words per pick *)
+  r_analysis : (int * (string * float) list) list;
+      (* analysis kernels: n, words per call of each *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -649,6 +698,9 @@ let ok r =
   let _, _, za_sync = r.r_za_sync in
   za && za_sync
   && List.for_all (fun (_, w) -> w <= victim_words_bound) r.r_picks
+  && List.for_all
+       (fun (_, ks) -> List.for_all (fun (_, w) -> w <= analysis_words_bound) ks)
+       r.r_analysis
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -706,6 +758,16 @@ let collect ?(smoke = false) ?domains () =
         pn w victim_words_bound
         (if w <= victim_words_bound then "ok" else "FAIL"))
     picks;
+  let analysis = List.map (fun side -> analysis_words ~side) [ 100; 317 ] in
+  List.iter
+    (fun (an, ks) ->
+      List.iter
+        (fun (k, w) ->
+          Printf.printf "  analysis %-16s n=%-6d %6.1f words/call (bound %.0f): %s\n"
+            k an w analysis_words_bound
+            (if w <= analysis_words_bound then "ok" else "FAIL"))
+        ks)
+    analysis;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -846,6 +908,7 @@ let collect ?(smoke = false) ?domains () =
       r_za = (za_acts, za_words, za_pass);
       r_za_sync = (zs_acts, zs_words, zs_pass);
       r_picks = picks;
+      r_analysis = analysis;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -886,6 +949,21 @@ let doc_of r =
                    ("pass", Jsonx.Bool (w <= victim_words_bound));
                  ])
              r.r_picks) );
+      ( "analysis_alloc",
+        Jsonx.List
+          (List.concat_map
+             (fun (an, ks) ->
+               List.map
+                 (fun (k, w) ->
+                   Jsonx.Obj
+                     [
+                       ("kernel", Jsonx.String k);
+                       ("n", Jsonx.Int an);
+                       ("words_per_call", Jsonx.Float w);
+                       ("pass", Jsonx.Bool (w <= analysis_words_bound));
+                     ])
+                 ks)
+             r.r_analysis) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

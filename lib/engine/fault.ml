@@ -30,6 +30,17 @@ let apply_one ~apply_state g = function
       | None -> false)
   | Corrupt_state v -> apply_state v
 
+(* Deletions shrink the views of the surviving neighbourhood: mark it
+   dirty while it is still enumerable, i.e. before the action lands.
+   Corruptions need nothing here — Network.set_state marks for them. *)
+let mark_before net = function
+  | Kill_node v | Crash_restart { node = v; _ } ->
+      Network.mark_dirty_around net v
+  | Kill_edge (u, v) ->
+      Network.mark_dirty net u;
+      Network.mark_dirty net v
+  | Corrupt_state _ -> ()
+
 let apply_due ?on_apply ?(apply_state = fun _ -> false) schedule ~round g =
   let due, pending =
     List.partition (fun e -> e.at_round <= round) schedule

@@ -25,6 +25,21 @@ type event = { at_round : int; action : action }
 
 type schedule = event list
 
+val apply_one :
+  apply_state:(int -> bool) -> Symnet_graph.Graph.t -> action -> bool
+(** Apply one action now and report whether it had an effect, as
+    {!apply_due} does for each due event. *)
+
+val mark_before : 'q Network.t -> action -> unit
+(** Mark dirty the nodes whose views [action] is about to change behind
+    the network's back: a killed or crashed node and its live
+    neighbours, both ends of a killed edge; nothing for
+    [Corrupt_state], since {!Network.set_state} marks.  Call it before
+    the action lands, while the neighbourhood is still enumerable, and
+    {!Network.ack_graph_mutations} once every graph edit is marked.  The
+    runner and the serve daemon both mark through it.  No-op before
+    dirty tracking starts. *)
+
 val apply_due :
   ?on_apply:(action -> effective:bool -> unit) ->
   ?apply_state:(int -> bool) ->

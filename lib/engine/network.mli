@@ -162,8 +162,10 @@ val reconcile_graph : 'q t -> unit
 val ack_graph_mutations : 'q t -> unit
 (** Declare that all graph mutations so far have been accounted for by
     precise {!mark_dirty} / {!mark_dirty_around} calls, suppressing the
-    blanket invalidation of {!reconcile_graph}.  Only the fault pipeline
-    should call this, after marking and applying its deletions. *)
+    blanket invalidation of {!reconcile_graph}.  Only callers that mark
+    every deletion through {!Fault.mark_before} (the runner's fault
+    pipeline, the serve daemon's mutations) should call this, after
+    marking and applying them. *)
 
 (** {1 Checkpoint / restore}
 

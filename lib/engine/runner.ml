@@ -123,21 +123,13 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
         Obs.Recorder.fault recorder ~action:(Obs.Events.Restart_node v))
       due
   in
-  (* Deletions change the views of the surviving neighbourhood: mark it
-     dirty while it is still enumerable, i.e. before the fault lands.
-     Corruptions need nothing here — Network.set_state marks for them. *)
+  (* Mark every due fault's neighbourhood before any of them lands. *)
   let mark_due_faults_dirty round =
     if Network.dirty_tracking net then
       List.iter
         (fun e ->
           if e.Fault.at_round <= round then
-            match e.Fault.action with
-            | Fault.Kill_node v | Fault.Crash_restart { node = v; _ } ->
-                Network.mark_dirty_around net v
-            | Fault.Kill_edge (u, v) ->
-                Network.mark_dirty net u;
-                Network.mark_dirty net v
-            | Fault.Corrupt_state _ -> ())
+            Fault.mark_before net e.Fault.action)
         !pending
   in
   let chaos_pending_possible round =

@@ -3,7 +3,18 @@
     These are the oracles the tests and experiments compare the distributed
     algorithms against: the FSSGA bridge finder is checked against Tarjan's
     low-link bridges, the distributed BFS against centralized distances,
-    and so on.  All functions ignore dead nodes/edges. *)
+    and so on.  All functions ignore dead nodes/edges.
+
+    The kernels walk the graph's CSR arrays ({!Graph.csr}) with flat
+    working arrays: breadth-first searches run through one n-cell FIFO,
+    and the low-link walk is an iterative Tarjan with int-array frames.
+    Besides their result and those arrays they allocate a constant
+    number of small blocks per call, nothing per node or neighbour. *)
+
+val component_labels : Graph.t -> int array * int
+(** [(labels, k)]: every live node's component index in [0 .. k - 1],
+    components numbered in the order of their smallest member; dead
+    nodes get [-1].  [k] is the number of components. *)
 
 val components : Graph.t -> int list list
 (** Connected components of the live graph, each sorted ascending;

@@ -1,6 +1,7 @@
 module Graph = Symnet_graph.Graph
 module Network = Symnet_engine.Network
 module Runner = Symnet_engine.Runner
+module Fault = Symnet_engine.Fault
 module Fssga = Symnet_core.Fssga
 module Obs = Symnet_obs
 module Jsonx = Symnet_obs.Jsonx
@@ -200,28 +201,24 @@ let eval_query d q =
           [
             ("live_nodes", Jsonx.Int (Graph.node_count g));
             ("live_edges", Jsonx.Int (Graph.edge_count g));
-            ("max_degree", Jsonx.Int (Graph.max_degree g));
-            ("components", Jsonx.Int (List.length (View.components v)));
+            ("max_degree", Jsonx.Int (View.max_degree v));
+            ("components", Jsonx.Int (Array.length (View.component_sizes v)));
           ]
     | Protocol.Components ->
-        let cs = View.components v in
+        let sizes = View.component_sizes v in
         Jsonx.Obj
           [
-            ("count", Jsonx.Int (List.length cs));
+            ("count", Jsonx.Int (Array.length sizes));
             ( "sizes",
-              Jsonx.List (List.map (fun c -> Jsonx.Int (List.length c)) cs) );
+              Jsonx.List
+                (List.map (fun s -> Jsonx.Int s) (Array.to_list sizes)) );
           ]
     | Protocol.Component_of n ->
         if n < 0 || n >= Graph.original_size g || not (Graph.is_live_node g n)
         then Jsonx.Obj [ ("node", Jsonx.Int n); ("live", Jsonx.Bool false) ]
         else
-          let comp =
-            List.find (fun c -> List.mem n c) (View.components v)
-          in
-          let size = List.length comp in
-          let members =
-            if size <= component_members_cap then comp
-            else List.filteri (fun i _ -> i < component_members_cap) comp
+          let size, members =
+            View.component_of v n ~cap:component_members_cap
           in
           Jsonx.Obj
             [
@@ -254,31 +251,41 @@ let eval_query d q =
   ok_of_view v data
 
 let eval_mutation d m =
-  let g = Network.graph d.d_net in
-  let automaton = Network.automaton d.d_net in
+  let net = d.d_net in
+  let g = Network.graph net in
+  let automaton = Network.automaton net in
+  (* Mark precisely, as the runner's fault pipeline does: account for
+     any earlier unreported graph edit first, mark a deletion's
+     neighbourhood with the same rule ({!Fault.mark_before}), then
+     acknowledge the version bump so the next round steps only the
+     marked nodes instead of all of them.  A revival's set_state marks
+     the revived node's neighbourhood itself. *)
+  let tracking = Network.dirty_tracking net in
+  if tracking then Network.reconcile_graph net;
+  let delete a =
+    Fault.mark_before net a;
+    Fault.apply_one ~apply_state:(fun _ -> false) g a
+  in
   let effective =
     match m with
     | Protocol.Kill_node n ->
         n >= 0 && n < Graph.original_size g && Graph.is_live_node g n
-        && (Graph.remove_node g n; true)
-    | Protocol.Kill_edge (u, v) -> (
-        match Graph.edge_between g u v with
-        | Some e -> Graph.remove_edge g e.Graph.id; true
-        | None -> false)
+        && delete (Fault.Kill_node n)
+    | Protocol.Kill_edge (u, v) ->
+        Graph.edge_between g u v <> None && delete (Fault.Kill_edge (u, v))
     | Protocol.Revive_node n ->
         n >= 0 && n < Graph.original_size g && not (Graph.is_live_node g n)
         && (Graph.revive_node g n;
-            Network.set_state d.d_net n (automaton.Fssga.init g n);
+            Network.set_state net n (automaton.Fssga.init g n);
             true)
     | Protocol.Corrupt n ->
         n >= 0 && n < Graph.original_size g && Graph.is_live_node g n
-        && (Network.set_state d.d_net n (automaton.Fssga.init g n); true)
+        && (Network.set_state net n (automaton.Fssga.init g n); true)
   in
+  if tracking then Network.ack_graph_mutations net;
   (* A mutation can wake a quiesced network: the finished session already
      emitted its outcome, so arm a fresh one over the same resident
-     network.  Its first round reconciles the dirty set against the new
-     graph version (blanket invalidation), exactly like any
-     behind-the-back mutation. *)
+     network. *)
   if effective && Runner.session_result d.d_session <> None then
     d.d_session <- d.d_mk_session ();
   let v = view d in

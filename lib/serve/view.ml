@@ -2,6 +2,11 @@ module Graph = Symnet_graph.Graph
 module Analysis = Symnet_graph.Analysis
 module Network = Symnet_engine.Network
 
+(* Component structure of the snapshot, derived once on first use:
+   every node's component label (-1 for dead nodes), each component's
+   size, and the largest live degree. *)
+type derived = { labels : int array; sizes : int array; max_degree : int }
+
 type 'q t = {
   v_states : 'q array;
   v_graph : Graph.t;
@@ -11,9 +16,11 @@ type 'q t = {
   (* Derived analyses are memoised per snapshot: they die with it, so a
      stale answer would require a version/epoch collision — which the
      strictly monotonic counters rule out. *)
-  mutable v_components : int list list option;
+  mutable v_derived : derived option;
   mutable v_bridges : int list option;
-  v_distances : (int list, int array) Hashtbl.t;
+  (* The last distances answer, with its sorted, de-duplicated source
+     list. *)
+  mutable v_dist : (int list * int array) option;
 }
 
 let take ~round net =
@@ -24,9 +31,9 @@ let take ~round net =
     v_version = Graph.version g;
     v_epoch = Network.state_epoch net;
     v_round = round;
-    v_components = None;
+    v_derived = None;
     v_bridges = None;
-    v_distances = Hashtbl.create 4;
+    v_dist = None;
   }
 
 let fresh v net =
@@ -39,13 +46,31 @@ let round v = v.v_round
 let graph v = v.v_graph
 let state v i = v.v_states.(i)
 
-let components v =
-  match v.v_components with
-  | Some c -> c
+let derived v =
+  match v.v_derived with
+  | Some d -> d
   | None ->
-      let c = Analysis.components v.v_graph in
-      v.v_components <- Some c;
-      c
+      let labels, k = Analysis.component_labels v.v_graph in
+      let sizes = Array.make k 0 in
+      Array.iter (fun l -> if l >= 0 then sizes.(l) <- sizes.(l) + 1) labels;
+      let d = { labels; sizes; max_degree = Graph.max_degree v.v_graph } in
+      v.v_derived <- Some d;
+      d
+
+let max_degree v = (derived v).max_degree
+let component_sizes v = (derived v).sizes
+
+let component_of v node ~cap =
+  let { labels; sizes; _ } = derived v in
+  let l = labels.(node) in
+  let size = sizes.(l) in
+  (* the first [min size cap] members, found by scanning ids upwards *)
+  let rec first i k acc =
+    if k = 0 then List.rev acc
+    else if labels.(i) = l then first (i + 1) (k - 1) (i :: acc)
+    else first (i + 1) k acc
+  in
+  (size, first 0 (min size cap) [])
 
 let bridges v =
   match v.v_bridges with
@@ -57,9 +82,11 @@ let bridges v =
 
 let distances v ~sources =
   let key = List.sort_uniq compare sources in
-  match Hashtbl.find_opt v.v_distances key with
-  | Some d -> d
-  | None ->
+  match v.v_dist with
+  | Some (k, d) when k = key -> d
+  | _ ->
+      (* a new source list replaces the memo, and the old array is only
+         dropped, never refilled, since callers may still hold it *)
       let d = Analysis.distances v.v_graph ~sources:key in
-      Hashtbl.add v.v_distances key d;
+      v.v_dist <- Some (key, d);
       d

@@ -8,10 +8,11 @@
     still bit-identical to the view, and the daemon reuses a view across
     requests (and across whole batches) exactly as long as that holds.
 
-    Derived analyses (components, bridges, multi-source BFS distances)
-    are memoised inside the view, giving batched query traffic oracle
-    answers at amortised cost without any cross-snapshot invalidation
-    protocol. *)
+    Derived analyses live inside the view, so batched query traffic gets
+    oracle answers at amortised cost without any cross-snapshot
+    invalidation protocol: one component-label array with the component
+    sizes and the largest degree, computed on first use; the bridge
+    list; and the multi-source BFS distances last asked for. *)
 
 type 'q t
 
@@ -31,7 +32,26 @@ val round : 'q t -> int
 val graph : 'q t -> Symnet_graph.Graph.t
 val state : 'q t -> int -> 'q
 
-val components : 'q t -> int list list
+val max_degree : 'q t -> int
+(** Largest live degree of the view's graph. *)
+
+val component_sizes : 'q t -> int array
+(** Size of each connected component of the live graph, components in
+    the order of their smallest member.  Shared with the view: do not
+    mutate. *)
+
+val component_of : 'q t -> int -> cap:int -> int * int list
+(** [component_of v node ~cap] for a live [node]: the size of its
+    component and its first [min size cap] members, ascending.  O(1)
+    for the size; the members cost a scan up to the last one
+    returned. *)
+
 val bridges : 'q t -> int list
+
 val distances : 'q t -> sources:int list -> int array
-(** Memoised per sorted-deduplicated source set. *)
+(** {!Symnet_graph.Analysis.distances}, memoised for the last sorted,
+    de-duplicated source set asked.  The view never mutates or recycles
+    an array it returned (callers may still hold it): a new source set
+    only drops the view's reference, and asking again for an earlier
+    set computes a fresh array.  The caller must not mutate it
+    either. *)

@@ -119,6 +119,59 @@ let test_view_isolation () =
   Alcotest.(check bool) "stamps differ across the mutation" true
     (View.version v' > View.version v)
 
+(* The view's component answers against the reference components on
+   the oracle suite's random graphs (several families, isolated nodes,
+   kills and revivals), for every live node and a random member cap. *)
+let prop_view_components =
+  QCheck.Test.make ~name:"view component answers = reference" ~count:150
+    QCheck.(pair Test_analysis.arb_case (int_range 0 40))
+    (fun ((shape, (ops, _)), cap) ->
+      let g = Test_analysis.build shape in
+      Test_analysis.mutate g ops;
+      let n = Graph.original_size g in
+      let net = Network.init ~rng:(Prng.create ~seed:1) g (sp (max n 1)) in
+      let v = View.take ~round:0 net in
+      let comps = Test_analysis.Ref.components g in
+      View.component_sizes v = Array.of_list (List.map List.length comps)
+      && View.max_degree v = Graph.max_degree g
+      && List.for_all
+           (fun comp ->
+             List.for_all
+               (fun node ->
+                 View.component_of v node ~cap
+                 = (List.length comp, List.filteri (fun i _ -> i < cap) comp))
+               comp)
+           comps)
+
+(* Ten distinct source sets through the one-entry memo: a re-ask of
+   the last set, permuted and duplicated, comes back physically equal;
+   the first set, asked again after the others replaced it, is
+   recomputed into a fresh (equal, not [==]) array; and every answer
+   matches the reference BFS. *)
+let test_view_distance_memo () =
+  let g = Gen.grid ~rows:12 ~cols:12 in
+  let net = Network.init ~rng:(Prng.create ~seed:3) g (sp 144) in
+  Graph.remove_node g 30;
+  let v = View.take ~round:0 net in
+  let ref_dist sources = Test_analysis.Ref.distances (View.graph v) ~sources in
+  let sets = List.init 10 (fun i -> [ (13 * i) mod 144; 30 ]) in
+  let answers =
+    List.map
+      (fun s ->
+        let d = View.distances v ~sources:s in
+        Alcotest.(check bool) "answer = reference BFS" true (d = ref_dist s);
+        Alcotest.(check bool) "re-ask of the last set is a hit" true
+          (View.distances v ~sources:(List.rev s @ s) == d);
+        d)
+      sets
+  in
+  let first = List.hd answers in
+  let again = View.distances v ~sources:(List.hd sets) in
+  Alcotest.(check bool) "replaced set recomputed equal" true (again = first);
+  Alcotest.(check bool) "replaced set recomputed fresh" true (again != first);
+  Alcotest.(check bool) "the old arrays were left untouched" true
+    (List.for_all2 (fun s d -> d = ref_dist s) sets answers)
+
 (* --- resumable sessions ------------------------------------------------ *)
 
 (* The probabilistic census draws from the network rng on every
@@ -495,6 +548,170 @@ let test_daemon_restarts_after_quiescence () =
             (Option.bind (get [ "data"; "effective" ] j) Jsonx.to_bool);
           Alcotest.(check int) "no-op did not re-arm" 2 !starts))
 
+(* Census, components and component_of answered from the view's label
+   array, over the wire, on a graph with several components — one of
+   them a 40x40 grid, past the 1000-member cap — a dead node and
+   isolated nodes, against the reference components. *)
+let test_daemon_component_queries () =
+  let rng = Prng.create ~seed:17 in
+  let small =
+    Test_analysis.union rng
+      (Gen.random_connected rng ~n:30 ~extra_edges:8)
+      (Test_analysis.isolated 3)
+  in
+  let g =
+    Test_analysis.union rng small
+      (Test_analysis.union rng (Gen.grid ~rows:40 ~cols:40) (Gen.cycle 5))
+  in
+  let n = Graph.original_size g in
+  Graph.remove_node g 7;
+  Graph.remove_node g 40;
+  let comps = Test_analysis.Ref.components g in
+  let net =
+    Network.init ~rng:(Prng.create ~seed:9) g
+      (A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n)
+  in
+  let addr = Daemon.Unix_sock (sock_path ()) in
+  let d =
+    Daemon.create
+      ~state_json:(fun s -> Jsonx.Int (A.Shortest_paths.label s))
+      ~session:(fun () -> Runner.start ~dirty:true net)
+      addr
+  in
+  Fun.protect
+    ~finally:(fun () -> Daemon.close d)
+    (fun () ->
+      let fd = Daemon.connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let ints path j =
+            match get path j with
+            | Some (Jsonx.List xs) -> List.map (fun x -> Option.get (Jsonx.to_int x)) xs
+            | _ -> Alcotest.failf "no int list at %s" (String.concat "." path)
+          in
+          let j = rpc d fd (Protocol.Query Protocol.Census) in
+          check_ok j;
+          Alcotest.(check (option int)) "census components"
+            (Some (List.length comps)) (get_int [ "data"; "components" ] j);
+          Alcotest.(check (option int)) "census max degree"
+            (Some (Graph.max_degree g)) (get_int [ "data"; "max_degree" ] j);
+          Alcotest.(check (option int)) "census live nodes"
+            (Some (Graph.node_count g)) (get_int [ "data"; "live_nodes" ] j);
+          let j = rpc d fd (Protocol.Query Protocol.Components) in
+          Alcotest.(check (option int)) "components count"
+            (Some (List.length comps)) (get_int [ "data"; "count" ] j);
+          Alcotest.(check (list int)) "component sizes"
+            (List.map List.length comps) (ints [ "data"; "sizes" ] j);
+          Alcotest.(check bool) "a component exceeds the cap" true
+            (List.exists (fun c -> List.length c > 1000) comps);
+          List.iter
+            (fun node ->
+              let j = rpc d fd (Protocol.Query (Protocol.Component_of node)) in
+              check_ok j;
+              match List.find_opt (List.mem node) comps with
+              | None ->
+                  Alcotest.(check (option bool)) "dead or bad node" (Some false)
+                    (Option.bind (get [ "data"; "live" ] j) Jsonx.to_bool)
+              | Some comp ->
+                  let size = List.length comp in
+                  Alcotest.(check (option int)) "component size" (Some size)
+                    (get_int [ "data"; "size" ] j);
+                  Alcotest.(check (list int)) "first members, ascending"
+                    (List.filteri (fun i _ -> i < 1000) comp)
+                    (ints [ "data"; "members" ] j);
+                  Alcotest.(check (option bool)) "truncated" (Some (size > 1000))
+                    (Option.bind (get [ "data"; "truncated" ] j) Jsonx.to_bool))
+            [ 0; 7; 31; 33; 40; 100; n - 7; n - 1; n; -1 ]))
+
+(* Mutations over the wire mark their neighbourhood as the runner's
+   fault pipeline does, so on a quiesced 12x12 grid the first round
+   after each steps at most the nodes whose view it changed (not all
+   144), and the network settles on the states a naive run reaches from
+   the same post-mutation state. *)
+let test_daemon_mutations_wake_neighbourhood () =
+  let side = 12 in
+  let g = Gen.grid ~rows:side ~cols:side in
+  let n = side * side in
+  let aut = A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n in
+  let net = Network.init ~rng:(Prng.create ~seed:5) g aut in
+  let session = ref None in
+  let after_round = ref [] in
+  let addr = Daemon.Unix_sock (sock_path ()) in
+  let d =
+    Daemon.create
+      ~state_json:(fun s -> Jsonx.Int (A.Shortest_paths.label s))
+      ~session:(fun () ->
+        let s =
+          Runner.start ~dirty:true
+            ~on_round:(fun ~round:_ net ->
+              after_round := Network.activations net :: !after_round)
+            net
+        in
+        session := Some s;
+        s)
+      addr
+  in
+  let quiesce () =
+    let budget = ref 1000 in
+    while Runner.session_result (Option.get !session) = None && !budget > 0 do
+      Daemon.tick ~timeout:0. d;
+      decr budget
+    done;
+    Alcotest.(check bool) "network quiesced" true
+      (Runner.session_result (Option.get !session) <> None)
+  in
+  Fun.protect
+    ~finally:(fun () -> Daemon.close d)
+    (fun () ->
+      quiesce ();
+      let fd = Daemon.connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let victim = (5 * side) + 6 in
+          let u, w = ((3 * side) + 2, (3 * side) + 3) in
+          List.iter
+            (fun (m, apply, touched) ->
+              (* the post-mutation state, rebuilt on a copy *)
+              let g' = Graph.copy g in
+              let states = Array.copy (Network.raw_states net) in
+              apply g' states;
+              let bound = touched g' in
+              let acts0 = Network.activations net in
+              after_round := [];
+              let j = rpc d fd (Protocol.Mutate m) in
+              Alcotest.(check (option bool)) "mutation effective" (Some true)
+                (Option.bind (get [ "data"; "effective" ] j) Jsonx.to_bool);
+              quiesce ();
+              (match List.rev !after_round with
+              | first :: _ ->
+                  let stepped = first - acts0 in
+                  if stepped < 1 || stepped > bound then
+                    Alcotest.failf "first round stepped %d nodes, expected 1..%d"
+                      stepped bound
+              | [] -> Alcotest.fail "no round ran after the mutation");
+              let naive = Network.init ~rng:(Prng.create ~seed:5) g' aut in
+              Array.iteri (fun v q -> Network.set_state naive v q) states;
+              let o = Runner.run ~dirty:false naive in
+              Alcotest.(check bool) "naive run quiesced" true o.Runner.quiesced;
+              Alcotest.(check bool) "same fixed point as a naive run" true
+                (Network.raw_states naive = Network.raw_states net))
+            [
+              ( Protocol.Kill_node victim,
+                (fun g' _ -> Graph.remove_node g' victim),
+                (* the victim's live neighbours *)
+                fun _ -> Graph.degree g victim );
+              ( Protocol.Kill_edge (u, w),
+                (fun g' _ -> Graph.remove_edge_between g' u w),
+                fun _ -> 2 );
+              ( Protocol.Revive_node victim,
+                (fun g' states ->
+                  Graph.revive_node g' victim;
+                  states.(victim) <- aut.Fssga.init g' victim),
+                fun g' -> 1 + Graph.degree g' victim );
+            ]))
+
 (* --- incremental decoder ----------------------------------------------- *)
 
 let test_decoder_incremental () =
@@ -660,6 +877,9 @@ let suite =
     Alcotest.test_case "protocol rejects garbage" `Quick
       test_protocol_rejects_garbage;
     Alcotest.test_case "view snapshot isolation" `Quick test_view_isolation;
+    Alcotest.test_case "view distance memo keeps the last answer" `Quick
+      test_view_distance_memo;
+    QCheck_alcotest.to_alcotest prop_view_components;
     Alcotest.test_case "session ≡ run (deterministic)" `Quick
       test_session_equals_run;
     Alcotest.test_case "session ≡ run (probabilistic)" `Quick
@@ -672,6 +892,10 @@ let suite =
       test_rewind_collision_digest;
     QCheck_alcotest.to_alcotest prop_version_keyed_never_stale;
     Alcotest.test_case "daemon end-to-end" `Quick test_daemon_e2e;
+    Alcotest.test_case "daemon component queries = reference" `Quick
+      test_daemon_component_queries;
+    Alcotest.test_case "daemon mutations wake only their neighbourhood"
+      `Quick test_daemon_mutations_wake_neighbourhood;
     Alcotest.test_case "daemon restarts after quiescence" `Quick
       test_daemon_restarts_after_quiescence;
     Alcotest.test_case "decoder reassembles incrementally" `Quick
