@@ -25,6 +25,7 @@ module Sharded = Symnet_engine.Sharded_network
 module Chaos = Symnet_engine.Chaos
 module Fssga = Symnet_core.Fssga
 module View = Symnet_core.View
+module Serve_view = Symnet_serve.View
 module Jsonx = Symnet_obs.Jsonx
 module A = Symnet_algorithms
 
@@ -257,7 +258,7 @@ let victim_words_bound = 256.0
    small records and closures.  The Queue-, closure- and edge-list-based
    kernels they replaced allocated 0.9 M (distances), 1.8 M (component
    labelling) and 9.9 M (bridges) words per call at side 317. *)
-let analysis_words ~side =
+let damaged_grid ~side =
   let g = Gen.grid ~rows:side ~cols:side in
   let n = Graph.original_size g and m = Graph.edge_count g in
   for i = 0 to 99 do
@@ -266,6 +267,11 @@ let analysis_words ~side =
   for i = 0 to 99 do
     Graph.remove_edge g (i * 104_729 mod m)
   done;
+  g
+
+let analysis_words ~side =
+  let g = damaged_grid ~side in
+  let n = Graph.original_size g in
   let sources = [ Graph.nth_live_node g (Graph.node_count g / 2) ] in
   let calls = 3 in
   let per_call f =
@@ -291,6 +297,48 @@ let analysis_words ~side =
     ] )
 
 let analysis_words_bound = 64.0
+
+(* Words per [View.distances] call on a warm serve view (its frozen
+   adjacency and search scratch built by a first query), minor and
+   major together, beyond the 3 words per cell of the returned list:
+   one random source and three random targets per call, on the same
+   damaged grids.  The search runs in the view's scratch, so a call
+   puts a constant on the heap.  A search that allocates its distance
+   array and queue per call puts 2n words on the major heap, which the
+   minor-word rows above cannot see. *)
+let view_query_words ~side =
+  let g = damaged_grid ~side in
+  let n = Graph.original_size g in
+  let net =
+    Network.init ~rng:(rng 1) g
+      (A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n)
+  in
+  let v = Serve_view.take ~round:0 net in
+  let r = rng 2 in
+  let calls = 16 and targets = 3 in
+  let queries =
+    List.init calls (fun _ ->
+        ([ Prng.int r n ], List.init targets (fun _ -> Prng.int r n)))
+  in
+  ignore (Serve_view.distances v ~sources:[ 0 ] ~targets:[ n - 1 ]);
+  (* Words promoted in the window count as minor and as major words, so
+     they are subtracted once; an empty minor heap at the start keeps
+     the promotions of older blocks out of the window.  [Gc.counters]'s
+     own minor count misses the current minor heap, hence
+     [Gc.minor_words]. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  List.iter
+    (fun (sources, targets) ->
+      ignore (Serve_view.distances v ~sources ~targets))
+    queries;
+  let w1 = words () in
+  let cells = float_of_int (calls * targets) in
+  (n, (w1 -. w0 -. (3. *. cells)) /. float_of_int calls)
 
 (* --- parallel synchronous rounds ------------------------------------- *)
 
@@ -675,6 +723,8 @@ type results = {
   r_picks : (int * float) list;  (* victim picks: n, words per pick *)
   r_analysis : (int * (string * float) list) list;
       (* analysis kernels: n, words per call of each *)
+  r_view : (int * float) list;
+      (* warm-view distance queries: n, words per call *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -701,6 +751,7 @@ let ok r =
   && List.for_all
        (fun (_, ks) -> List.for_all (fun (_, w) -> w <= analysis_words_bound) ks)
        r.r_analysis
+  && List.for_all (fun (_, w) -> w <= analysis_words_bound) r.r_view
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -768,6 +819,16 @@ let collect ?(smoke = false) ?domains () =
             (if w <= analysis_words_bound then "ok" else "FAIL"))
         ks)
     analysis;
+  let view_queries =
+    List.map (fun side -> view_query_words ~side) [ 100; 317 ]
+  in
+  List.iter
+    (fun (vn, w) ->
+      Printf.printf
+        "  warm-view distances   n=%-6d %6.1f words/call (bound %.0f): %s\n" vn
+        w analysis_words_bound
+        (if w <= analysis_words_bound then "ok" else "FAIL"))
+    view_queries;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -909,6 +970,7 @@ let collect ?(smoke = false) ?domains () =
       r_za_sync = (zs_acts, zs_words, zs_pass);
       r_picks = picks;
       r_analysis = analysis;
+      r_view = view_queries;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -964,6 +1026,17 @@ let doc_of r =
                      ])
                  ks)
              r.r_analysis) );
+      ( "view_alloc",
+        Jsonx.List
+          (List.map
+             (fun (vn, w) ->
+               Jsonx.Obj
+                 [
+                   ("n", Jsonx.Int vn);
+                   ("words_per_call", Jsonx.Float w);
+                   ("pass", Jsonx.Bool (w <= analysis_words_bound));
+                 ])
+             r.r_view) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

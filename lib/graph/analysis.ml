@@ -1,24 +1,71 @@
-(* The kernels walk the graph's CSR arrays ({!Graph.csr}) directly.  A
-   slot is live iff its edge bit and its target's node bit are both set
-   — the filter [Graph.iter_neighbours] applies — and a row lists its
-   slots in ascending edge id, the order [Graph.incident] gives.  No
-   closure runs per neighbour and no edge record or queue cell is
-   built: the working state is flat arrays, which on graphs of a few
-   thousand nodes or more the runtime allocates outside the minor
-   heap. *)
+(* The breadth-first kernels walk a frozen adjacency: the live edges
+   between live nodes only, rows in CSR slot order, so no loop tests
+   liveness per neighbour and a dead node's row is empty.  The low-link
+   walk needs edge ids and walks the graph's CSR arrays ({!Graph.csr})
+   directly; there a slot is live iff its edge bit and its target's
+   node bit are both set, the filter [Graph.iter_neighbours] applies.
+   Either way a row lists its slots in ascending edge id, the order
+   [Graph.incident] gives.  No closure runs per neighbour and no edge
+   record or queue cell is built: the working state is flat arrays,
+   which on graphs of a few thousand nodes or more the runtime
+   allocates outside the minor heap. *)
+
+(* --- frozen adjacency ---------------------------------------------------- *)
+
+type adjacency = {
+  a_off : int array;  (* n + 1 row offsets into [a_tgt] *)
+  a_tgt : int array;  (* live neighbours, row by row, then unused cells *)
+  a_live : Bytes.t;  (* '\001' per live node *)
+  a_nodes : int;  (* live nodes *)
+}
+
+let live a v =
+  v >= 0 && v < Bytes.length a.a_live && Bytes.get a.a_live v <> '\000'
+
+let freeze g =
+  let c = Graph.csr g in
+  let n = Graph.original_size g in
+  let node_alive = c.csr_node_alive in
+  let a_live = Bytes.make n '\000' in
+  for v = 0 to n - 1 do
+    if node_alive.(v) then Bytes.set a_live v '\001'
+  done;
+  let a_nodes = Graph.node_count g in
+  let slots = Array.length c.csr_tgt in
+  if a_nodes = n && 2 * Graph.edge_count g = slots then
+    (* Nothing is dead: the graph's own arrays, which never change after
+       [Graph.create], so sharing them still freezes the adjacency. *)
+    { a_off = c.csr_off; a_tgt = c.csr_tgt; a_live; a_nodes }
+  else begin
+    let off = c.csr_off and tgt = c.csr_tgt and eid = c.csr_eid in
+    let edge_alive = c.csr_edge_alive in
+    let a_off = Array.make (n + 1) 0 and a_tgt = Array.make slots 0 in
+    let k = ref 0 in
+    for v = 0 to n - 1 do
+      if node_alive.(v) then
+        for s = off.(v) to off.(v + 1) - 1 do
+          let w = tgt.(s) in
+          if edge_alive.(eid.(s)) && node_alive.(w) then begin
+            a_tgt.(!k) <- w;
+            incr k
+          end
+        done;
+      a_off.(v + 1) <- !k
+    done;
+    { a_off; a_tgt; a_live; a_nodes }
+  end
 
 (* --- breadth-first search ------------------------------------------------ *)
 
 (* Breadth-first search through the FIFO [q], whose cells [head .. tail
-   - 1] hold the nodes queued but not yet expanded: every live node
-   still [unset] in [a] that live edges reach from them is queued with
+   - 1] hold the nodes queued but not yet expanded: every node still
+   [unset] in [a] that the adjacency reaches from them is queued with
    [a.(w) = a.(v) + step], [v] being the node that reached it.  Returns
    the new tail.  A node is queued at most once, so an n-cell queue
    never fills, and searches over disjoint components can share one
    queue, each starting where the last ended. *)
-let bfs (c : Graph.csr) q ~head ~tail a ~unset ~step =
-  let off = c.csr_off and tgt = c.csr_tgt and eid = c.csr_eid in
-  let node_alive = c.csr_node_alive and edge_alive = c.csr_edge_alive in
+let bfs adj q ~head ~tail a ~unset ~step =
+  let off = adj.a_off and tgt = adj.a_tgt in
   let head = ref head and tail = ref tail in
   while !head < !tail do
     let v = q.(!head) in
@@ -26,13 +73,27 @@ let bfs (c : Graph.csr) q ~head ~tail a ~unset ~step =
     let x = a.(v) + step in
     for s = off.(v) to off.(v + 1) - 1 do
       let w = tgt.(s) in
-      if a.(w) = unset && edge_alive.(eid.(s)) && node_alive.(w) then begin
+      if a.(w) = unset then begin
         a.(w) <- x;
         q.(!tail) <- w;
         incr tail
       end
     done
   done;
+  !tail
+
+(* Queue every live source not yet queued at distance 0; returns the
+   tail. *)
+let seed adj dist q sources =
+  let tail = ref 0 in
+  List.iter
+    (fun s ->
+      if live adj s && dist.(s) = max_int then begin
+        dist.(s) <- 0;
+        q.(!tail) <- s;
+        incr tail
+      end)
+    sources;
   !tail
 
 (* The indices [i < len] satisfying [p], ascending. *)
@@ -44,48 +105,43 @@ let ascending len p =
   !acc
 
 let distances g ~sources =
-  let n = Graph.original_size g in
+  let adj = freeze g in
+  let n = Bytes.length adj.a_live in
   let dist = Array.make n max_int in
   let q = Array.make n 0 in
-  let tail = ref 0 in
-  List.iter
-    (fun s ->
-      if Graph.is_live_node g s && dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        q.(!tail) <- s;
-        incr tail
-      end)
-    sources;
-  ignore (bfs (Graph.csr g) q ~head:0 ~tail:!tail dist ~unset:max_int ~step:1);
+  ignore
+    (bfs adj q ~head:0 ~tail:(seed adj dist q sources) dist ~unset:max_int
+       ~step:1);
   dist
 
 (* One BFS from the live node [s]: an array holding 0 on its component
    and -1 elsewhere, and the component's size. *)
-let reach g s =
-  let n = Graph.original_size g in
+let reach adj s =
+  let n = Bytes.length adj.a_live in
   let mark = Array.make n (-1) in
   let q = Array.make n 0 in
   mark.(s) <- 0;
   q.(0) <- s;
-  (mark, bfs (Graph.csr g) q ~head:0 ~tail:1 mark ~unset:(-1) ~step:0)
+  (mark, bfs adj q ~head:0 ~tail:1 mark ~unset:(-1) ~step:0)
 
-let component_labels g =
-  let n = Graph.original_size g in
-  let c = Graph.csr g in
+let frozen_labels adj =
+  let n = Bytes.length adj.a_live in
   let label = Array.make n (-1) in
   let q = Array.make n 0 in
   let k = ref 0 and tail = ref 0 in
   (* scanning ids upwards starts each component at its smallest member;
      the components' searches share the queue *)
   for v = 0 to n - 1 do
-    if label.(v) < 0 && c.csr_node_alive.(v) then begin
+    if label.(v) < 0 && live adj v then begin
       label.(v) <- !k;
       q.(!tail) <- v;
-      tail := bfs c q ~head:!tail ~tail:(!tail + 1) label ~unset:(-1) ~step:0;
+      tail := bfs adj q ~head:!tail ~tail:(!tail + 1) label ~unset:(-1) ~step:0;
       incr k
     end
   done;
   (label, !k)
+
+let component_labels g = frozen_labels (freeze g)
 
 let components g =
   let label, k = component_labels g in
@@ -99,43 +155,67 @@ let components g =
 let component_of g s =
   if not (Graph.is_live_node g s) then
     invalid_arg "Analysis.component_of: dead node";
-  let mark, _ = reach g s in
+  let mark, _ = reach (freeze g) s in
   ascending (Array.length mark) (fun v -> mark.(v) = 0)
 
-let is_connected g =
-  Graph.node_count g = 0
+let connected adj =
+  adj.a_nodes = 0
   ||
-  let alive = (Graph.csr g).csr_node_alive in
   let s = ref 0 in
-  while not alive.(!s) do
+  while not (live adj !s) do
     incr s
   done;
-  snd (reach g !s) = Graph.node_count g
+  snd (reach adj !s) = adj.a_nodes
+
+let is_connected g = connected (freeze g)
+
+(* The eccentricity of [v] through idle working arrays ([dist] all
+   [max_int]), which it leaves idle again: the last node a BFS queues is
+   a farthest one, and only the queued cells are reset. *)
+let ecc adj dist q v =
+  let tail =
+    bfs adj q ~head:0 ~tail:(seed adj dist q [ v ]) dist ~unset:max_int ~step:1
+  in
+  let e = if tail = 0 then 0 else dist.(q.(tail - 1)) in
+  for i = 0 to tail - 1 do
+    dist.(q.(i)) <- max_int
+  done;
+  e
 
 let eccentricity g v =
-  let dist = distances g ~sources:[ v ] in
-  Array.fold_left (fun m d -> if d < max_int then max m d else m) 0 dist
+  let adj = freeze g in
+  let n = Bytes.length adj.a_live in
+  ecc adj (Array.make n max_int) (Array.make n 0) v
 
 let diameter g =
   if Graph.node_count g = 0 then invalid_arg "Analysis.diameter: empty graph";
-  if not (is_connected g) then
+  let adj = freeze g in
+  if not (connected adj) then
     invalid_arg "Analysis.diameter: disconnected graph";
-  List.fold_left (fun m v -> max m (eccentricity g v)) 0 (Graph.nodes g)
+  let n = Bytes.length adj.a_live in
+  let dist = Array.make n max_int and q = Array.make n 0 in
+  let d = ref 0 in
+  for v = 0 to n - 1 do
+    if live adj v then d := max !d (ecc adj dist q v)
+  done;
+  !d
 
 (* BFS levels from each component's smallest node; the colour is the
    level's parity, and the colouring is proper iff no live edge joins
-   two nodes of one parity. *)
+   two nodes of one parity.  A dead node's row is empty, so the edge
+   scan needs no liveness test. *)
 let two_colouring g =
-  let n = Graph.original_size g in
-  let c = Graph.csr g in
+  let adj = freeze g in
+  let n = Bytes.length adj.a_live in
   let colour = Array.make n max_int in
   let q = Array.make n 0 in
   let tail = ref 0 in
   for v = 0 to n - 1 do
-    if colour.(v) = max_int && c.csr_node_alive.(v) then begin
+    if colour.(v) = max_int && live adj v then begin
       colour.(v) <- 0;
       q.(!tail) <- v;
-      tail := bfs c q ~head:!tail ~tail:(!tail + 1) colour ~unset:max_int ~step:1
+      tail :=
+        bfs adj q ~head:!tail ~tail:(!tail + 1) colour ~unset:max_int ~step:1
     end
   done;
   for v = 0 to n - 1 do
@@ -144,20 +224,75 @@ let two_colouring g =
   let ok = ref true and v = ref 0 in
   while !ok && !v < n do
     let u = !v in
-    if c.csr_node_alive.(u) then
-      for s = c.csr_off.(u) to c.csr_off.(u + 1) - 1 do
-        let w = c.csr_tgt.(s) in
-        if
-          colour.(w) = colour.(u)
-          && c.csr_edge_alive.(c.csr_eid.(s))
-          && c.csr_node_alive.(w)
-        then ok := false
-      done;
+    for s = adj.a_off.(u) to adj.a_off.(u + 1) - 1 do
+      if colour.(adj.a_tgt.(s)) = colour.(u) then ok := false
+    done;
     incr v
   done;
   if !ok then Some colour else None
 
 let is_bipartite g = two_colouring g <> None
+
+(* --- searches that stop at their targets --------------------------------- *)
+
+type scratch = { s_dist : int array; s_queue : int array; s_want : Bytes.t }
+
+let scratch adj =
+  let n = Bytes.length adj.a_live in
+  {
+    s_dist = Array.make n max_int;
+    s_queue = Array.make n 0;
+    s_want = Bytes.make n '\000';
+  }
+
+(* [bfs] from distance 0 with the FIFO starting at cell 0, stopping once
+   [left] nodes marked in [want] are settled: the check costs one byte
+   per queued node, whatever the number of targets. *)
+let bfs_until adj q ~tail dist want ~left =
+  let off = adj.a_off and tgt = adj.a_tgt in
+  let head = ref 0 and tail = ref tail and left = ref left in
+  while !left > 0 && !head < !tail do
+    let v = q.(!head) in
+    incr head;
+    let x = dist.(v) + 1 in
+    for s = off.(v) to off.(v + 1) - 1 do
+      let w = tgt.(s) in
+      if dist.(w) = max_int then begin
+        dist.(w) <- x;
+        q.(!tail) <- w;
+        incr tail;
+        if Bytes.get want w <> '\000' then decr left
+      end
+    done
+  done;
+  !tail
+
+let target_distances adj sc ~sources ~targets =
+  let n = Bytes.length adj.a_live in
+  let dist = sc.s_dist and q = sc.s_queue and want = sc.s_want in
+  let tail = seed adj dist q sources in
+  (* mark each live target not already settled as a source, once *)
+  let left = ref 0 in
+  List.iter
+    (fun t ->
+      if live adj t && dist.(t) = max_int && Bytes.get want t = '\000'
+      then begin
+        Bytes.set want t '\001';
+        incr left
+      end)
+    targets;
+  let tail =
+    if !left > 0 then bfs_until adj q ~tail dist want ~left:!left else tail
+  in
+  let answer =
+    List.map (fun t -> if t >= 0 && t < n then dist.(t) else max_int) targets
+  in
+  (* back to idle: every cell written is a queued node or a target *)
+  for i = 0 to tail - 1 do
+    dist.(q.(i)) <- max_int
+  done;
+  List.iter (fun t -> if t >= 0 && t < n then Bytes.set want t '\000') targets;
+  answer
 
 (* --- Tarjan low-link ---------------------------------------------------- *)
 

@@ -72,6 +72,8 @@ type 'q t = {
      restart the serve core from after a crash *)
   mutable d_checkpoint : 'q Network.checkpoint option;
   mutable d_restarts : int;
+  d_read_buf : Bytes.t;
+      (* every connection's reads land here; [Wire.feed] copies them out *)
 }
 
 let create ?(recorder = Obs.Recorder.null) ?(rounds_per_tick = 1)
@@ -123,6 +125,7 @@ let create ?(recorder = Obs.Recorder.null) ?(rounds_per_tick = 1)
     d_ticks = 0;
     d_checkpoint = None;
     d_restarts = 0;
+    d_read_buf = Bytes.create 65536;
   }
 
 let requests_served d = d.d_requests
@@ -185,17 +188,13 @@ let eval_query d q =
                    ])
              vs)
     | Protocol.Distances { sources; targets } ->
-        let dist = View.distances v ~sources in
         Jsonx.List
-          (List.map
-             (fun t ->
-               let x =
-                 if t < 0 || t >= Array.length dist then Jsonx.Null
-                 else if dist.(t) = max_int then Jsonx.Null
-                 else Jsonx.Int dist.(t)
-               in
+          (List.map2
+             (fun t dist ->
+               let x = if dist = max_int then Jsonx.Null else Jsonx.Int dist in
                Jsonx.Obj [ ("node", Jsonx.Int t); ("distance", x) ])
-             targets)
+             targets
+             (View.distances v ~sources ~targets))
     | Protocol.Census ->
         Jsonx.Obj
           [
@@ -288,8 +287,19 @@ let eval_mutation d m =
      network. *)
   if effective && Runner.session_result d.d_session <> None then
     d.d_session <- d.d_mk_session ();
-  let v = view d in
-  ok_of_view v (Jsonx.Obj [ ("effective", Jsonx.Bool effective) ])
+  let data = Jsonx.Obj [ ("effective", Jsonx.Bool effective) ] in
+  (* Stamp without a snapshot: the rounds this mutation wakes would make
+     a view taken now stale before anything read it.  A view that is
+     still fresh stamps the reply itself: after a round that changed
+     nothing its round is older than [d_rounds_run], and the next query
+     will be stamped from it, so stamping from the counters would let
+     that query's stamp go back.  Otherwise the counters are what
+     [View.take] would record. *)
+  match d.d_view with
+  | Some v when View.fresh v net -> ok_of_view v data
+  | _ ->
+      Protocol.ok ~version:(Graph.version g) ~epoch:(Network.state_epoch net)
+        ~round:d.d_rounds_run data
 
 let rec eval d = function
   | Protocol.Query q -> eval_query d q
@@ -363,11 +373,9 @@ let flush_conn d c =
         drop_conn d c
   end
 
-let read_chunk = 65536
-
 let read_conn d c =
-  let chunk = Bytes.create read_chunk in
-  match Unix.read c.c_fd chunk 0 read_chunk with
+  let chunk = d.d_read_buf in
+  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
   | 0 -> drop_conn d c (* EOF *)
   | k -> (
       c.c_last <- Unix.gettimeofday ();

@@ -13,7 +13,10 @@
     next round reconciles its dirty set against the bumped graph
     version.  A mutation arriving after the session finished (the
     network quiesced) arms a fresh session over the same network, so the
-    daemon converges again and keeps serving. *)
+    daemon converges again and keeps serving.  A mutation's reply takes
+    no snapshot: it carries the current view's stamp while that view is
+    still fresh, and otherwise the (version, epoch, rounds run) that a
+    snapshot taken then would carry. *)
 
 type address = Unix_sock of string | Tcp of string * int
 

@@ -16,11 +16,10 @@ type 'q t = {
   (* Derived analyses are memoised per snapshot: they die with it, so a
      stale answer would require a version/epoch collision — which the
      strictly monotonic counters rule out. *)
+  mutable v_adj : Analysis.adjacency option;
+  mutable v_scratch : Analysis.scratch option;
   mutable v_derived : derived option;
   mutable v_bridges : int list option;
-  (* The last distances answer, with its sorted, de-duplicated source
-     list. *)
-  mutable v_dist : (int list * int array) option;
 }
 
 let take ~round net =
@@ -31,9 +30,10 @@ let take ~round net =
     v_version = Graph.version g;
     v_epoch = Network.state_epoch net;
     v_round = round;
+    v_adj = None;
+    v_scratch = None;
     v_derived = None;
     v_bridges = None;
-    v_dist = None;
   }
 
 let fresh v net =
@@ -46,11 +46,19 @@ let round v = v.v_round
 let graph v = v.v_graph
 let state v i = v.v_states.(i)
 
+let adjacency v =
+  match v.v_adj with
+  | Some a -> a
+  | None ->
+      let a = Analysis.freeze v.v_graph in
+      v.v_adj <- Some a;
+      a
+
 let derived v =
   match v.v_derived with
   | Some d -> d
   | None ->
-      let labels, k = Analysis.component_labels v.v_graph in
+      let labels, k = Analysis.frozen_labels (adjacency v) in
       let sizes = Array.make k 0 in
       Array.iter (fun l -> if l >= 0 then sizes.(l) <- sizes.(l) + 1) labels;
       let d = { labels; sizes; max_degree = Graph.max_degree v.v_graph } in
@@ -80,13 +88,17 @@ let bridges v =
       v.v_bridges <- Some b;
       b
 
-let distances v ~sources =
-  let key = List.sort_uniq compare sources in
-  match v.v_dist with
-  | Some (k, d) when k = key -> d
-  | _ ->
-      (* a new source list replaces the memo, and the old array is only
-         dropped, never refilled, since callers may still hold it *)
-      let d = Analysis.distances v.v_graph ~sources:key in
-      v.v_dist <- Some (key, d);
-      d
+let distances v ~sources ~targets =
+  let adj = adjacency v in
+  let cell =
+    match v.v_scratch with
+    | Some _ as c -> c
+    | None -> Some (Analysis.scratch adj)
+  in
+  (* The scratch is out of the view while the search runs, so a search
+     that raises takes its dirty cells with it and the next query builds
+     an idle one. *)
+  v.v_scratch <- None;
+  let d = Analysis.target_distances adj (Option.get cell) ~sources ~targets in
+  v.v_scratch <- cell;
+  d

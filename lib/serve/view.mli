@@ -10,9 +10,11 @@
 
     Derived analyses live inside the view, so batched query traffic gets
     oracle answers at amortised cost without any cross-snapshot
-    invalidation protocol: one component-label array with the component
-    sizes and the largest degree, computed on first use; the bridge
-    list; and the multi-source BFS distances last asked for. *)
+    invalidation protocol.  Each is built on first use: the view's
+    {!Symnet_graph.Analysis.freeze}d adjacency; one component-label
+    array over it, with the component sizes and the largest degree; the
+    bridge list; and one search scratch that every distance query
+    reuses. *)
 
 type 'q t
 
@@ -48,10 +50,10 @@ val component_of : 'q t -> int -> cap:int -> int * int list
 
 val bridges : 'q t -> int list
 
-val distances : 'q t -> sources:int list -> int array
-(** {!Symnet_graph.Analysis.distances}, memoised for the last sorted,
-    de-duplicated source set asked.  The view never mutates or recycles
-    an array it returned (callers may still hold it): a new source set
-    only drops the view's reference, and asking again for an earlier
-    set computes a fresh array.  The caller must not mutate it
-    either. *)
+val distances : 'q t -> sources:int list -> targets:int list -> int list
+(** The multi-source BFS distance of each target, in the order given:
+    {!Symnet_graph.Analysis.distances} read at the targets ([max_int]
+    for an unreachable, dead or out-of-range target).  The search runs
+    in the view's scratch without allocating beyond the returned list,
+    stops once every live target is settled, and resets only the cells
+    it wrote. *)

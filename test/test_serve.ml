@@ -104,15 +104,17 @@ let test_view_isolation () =
   done;
   let v = View.take ~round:3 net in
   Alcotest.(check bool) "fresh right after take" true (View.fresh v net);
-  let d_before = View.distances v ~sources:[ 0 ] in
+  let targets = List.init 20 Fun.id in
+  let d_before = View.distances v ~sources:[ 0 ] ~targets in
   (* mutate the resident network behind the view's back *)
   Graph.remove_node g 5;
   Alcotest.(check bool) "stale after a graph mutation" false
     (View.fresh v net);
   Alcotest.(check bool) "view's graph copy still shows the node live" true
     (Graph.is_live_node (View.graph v) 5);
-  Alcotest.(check bool) "memoised distances unaffected by the mutation" true
-    (View.distances v ~sources:[ 0 ] == d_before);
+  Alcotest.(check (list int)) "view distances unaffected by the mutation"
+    d_before
+    (View.distances v ~sources:[ 0 ] ~targets);
   let v' = View.take ~round:4 net in
   Alcotest.(check bool) "new view sees the mutation" false
     (Graph.is_live_node (View.graph v') 5);
@@ -143,34 +145,54 @@ let prop_view_components =
                comp)
            comps)
 
-(* Ten distinct source sets through the one-entry memo: a re-ask of
-   the last set, permuted and duplicated, comes back physically equal;
-   the first set, asked again after the others replaced it, is
-   recomputed into a fresh (equal, not [==]) array; and every answer
-   matches the reference BFS. *)
-let test_view_distance_memo () =
-  let g = Gen.grid ~rows:12 ~cols:12 in
-  let net = Network.init ~rng:(Prng.create ~seed:3) g (sp 144) in
-  Graph.remove_node g 30;
+(* Successive distance queries through one view's scratch, on the
+   oracle suite's random graphs with kills and revivals: each answer is
+   the reference BFS read at the targets.  Ids are drawn from -2 to
+   n + 1, so lists hold dead, out-of-range and duplicated ids; a
+   query may also ask its own sources as targets, and either list may
+   be empty.  A search that left a cell or a mark behind would show in
+   a later answer. *)
+let prop_view_distances =
+  QCheck.Test.make ~name:"view distances = reference at the targets"
+    ~count:200
+    QCheck.(
+      pair Test_analysis.arb_case
+        (list_of_size Gen.(1 -- 12)
+           (triple
+              (list_of_size Gen.(0 -- 4) small_nat)
+              (list_of_size Gen.(0 -- 6) small_nat)
+              bool)))
+    (fun ((shape, (ops, _)), queries) ->
+      let g = Test_analysis.build shape in
+      Test_analysis.mutate g ops;
+      let n = Graph.original_size g in
+      let net = Network.init ~rng:(Prng.create ~seed:1) g (sp (max n 1)) in
+      let v = View.take ~round:0 net in
+      let id x = (x mod (n + 4)) - 2 in
+      List.for_all
+        (fun (srcs, tgts, echo) ->
+          let sources = List.map id srcs in
+          let targets = List.map id tgts @ if echo then sources else [] in
+          let want = Test_analysis.Ref.distances g ~sources in
+          View.distances v ~sources ~targets
+          = List.map
+              (fun t -> if t >= 0 && t < n then want.(t) else max_int)
+              targets)
+        queries)
+
+(* Every node live and one edge dead: the view's adjacency must not
+   share the graph's rows, which still list the dead edge. *)
+let test_view_distances_dead_edge () =
+  let g = Gen.cycle 12 in
+  let net = Network.init ~rng:(Prng.create ~seed:3) g (sp 12) in
+  Graph.remove_edge g 0;
   let v = View.take ~round:0 net in
-  let ref_dist sources = Test_analysis.Ref.distances (View.graph v) ~sources in
-  let sets = List.init 10 (fun i -> [ (13 * i) mod 144; 30 ]) in
-  let answers =
-    List.map
-      (fun s ->
-        let d = View.distances v ~sources:s in
-        Alcotest.(check bool) "answer = reference BFS" true (d = ref_dist s);
-        Alcotest.(check bool) "re-ask of the last set is a hit" true
-          (View.distances v ~sources:(List.rev s @ s) == d);
-        d)
-      sets
-  in
-  let first = List.hd answers in
-  let again = View.distances v ~sources:(List.hd sets) in
-  Alcotest.(check bool) "replaced set recomputed equal" true (again = first);
-  Alcotest.(check bool) "replaced set recomputed fresh" true (again != first);
-  Alcotest.(check bool) "the old arrays were left untouched" true
-    (List.for_all2 (fun s d -> d = ref_dist s) sets answers)
+  let targets = List.init 12 Fun.id in
+  let want = Test_analysis.Ref.distances g ~sources:[ 0 ] in
+  Alcotest.(check (list int)) "distances around the cut cycle"
+    (Array.to_list want)
+    (View.distances v ~sources:[ 0 ] ~targets);
+  Alcotest.(check int) "the cut edge is not taken" 11 want.(1)
 
 (* --- resumable sessions ------------------------------------------------ *)
 
@@ -712,6 +734,112 @@ let test_daemon_mutations_wake_neighbourhood () =
                 fun g' -> 1 + Graph.degree g' victim );
             ]))
 
+(* A mutation's reply is stamped without a snapshot.  On a quiesced
+   daemon a mutation, the rounds it wakes and a query take one view
+   between them (the query's).  A mutation batched before a query
+   carries the query's stamp.  That batch's edge kill changes no label,
+   so the round it wakes changes nothing and leaves the query's view
+   fresh with a round older than the rounds run: an ineffective
+   mutation then is stamped from that view, so the query after it does
+   not go back. *)
+let stamp j =
+  List.map
+    (fun k -> get_int [ "snapshot"; k ] j)
+    [ "version"; "epoch"; "round" ]
+
+let no_later a b = List.for_all2 ( <= ) (stamp a) (stamp b)
+
+let test_daemon_mutation_stamps () =
+  let side = 8 in
+  let g = Gen.grid ~rows:side ~cols:side in
+  let net =
+    Network.init ~rng:(Prng.create ~seed:4) g
+      (A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:(side * side))
+  in
+  let spans = Symnet_obs.Span.create ~capacity:1024 () in
+  let recorder =
+    Symnet_obs.Recorder.create ~activation_events:false ~spans ()
+  in
+  let session = ref None in
+  let addr = Daemon.Unix_sock (sock_path ()) in
+  let d =
+    Daemon.create ~recorder
+      ~state_json:(fun s -> Jsonx.Int (A.Shortest_paths.label s))
+      ~session:(fun () ->
+        let s = Runner.start ~dirty:true net in
+        session := Some s;
+        s)
+      addr
+  in
+  let quiesced () = Runner.session_result (Option.get !session) <> None in
+  let quiesce () =
+    let budget = ref 1000 in
+    while (not (quiesced ())) && !budget > 0 do
+      Daemon.tick ~timeout:0. d;
+      decr budget
+    done;
+    Alcotest.(check bool) "quiesced" true (quiesced ())
+  in
+  let snapshots () =
+    List.length
+      (List.filter
+         (fun (s : Symnet_obs.Span.span) ->
+           s.phase = Symnet_obs.Span.Serve_snapshot)
+         (Symnet_obs.Span.spans spans))
+  in
+  let effective j = Option.bind (get [ "data"; "effective" ] j) Jsonx.to_bool in
+  Fun.protect
+    ~finally:(fun () -> Daemon.close d)
+    (fun () ->
+      quiesce ();
+      let fd = Daemon.connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let status () = rpc d fd (Protocol.Query Protocol.Status) in
+          (* the sink's neighbour: labels beyond it move *)
+          let m = rpc d fd (Protocol.Mutate (Protocol.Kill_node 1)) in
+          Alcotest.(check (option bool)) "kill effective" (Some true)
+            (effective m);
+          quiesce ();
+          let q1 = status () in
+          Alcotest.(check int) "mutation, rounds, query: one view" 1
+            (snapshots ());
+          Alcotest.(check bool) "mutation stamp no later than the query's"
+            true (no_later m q1);
+          (* (1,2)-(2,2): both ends keep a neighbour one step nearer the
+             sink *)
+          let b =
+            rpc d fd
+              (Protocol.Batch
+                 [
+                   Protocol.Mutate
+                     (Protocol.Kill_edge (side + 2, (2 * side) + 2));
+                   Protocol.Query Protocol.Status;
+                 ])
+          in
+          let m, q2 =
+            match get [ "results" ] b with
+            | Some (Jsonx.List [ m; q ]) -> (m, q)
+            | _ -> Alcotest.fail "bad batch payload"
+          in
+          Alcotest.(check (option bool)) "edge kill effective" (Some true)
+            (effective m);
+          Alcotest.(check (list (option int))) "batched mutation and query"
+            (stamp q2) (stamp m);
+          Alcotest.(check bool) "batch after the last query" true
+            (no_later q1 q2 && stamp q1 <> stamp q2);
+          Alcotest.(check bool) "its round changed nothing" true
+            (quiesced ()
+            && get_int [ "snapshot"; "round" ] q2
+               = Some (Daemon.rounds_run d - 1));
+          let m = rpc d fd (Protocol.Mutate (Protocol.Kill_node 99)) in
+          Alcotest.(check (option bool)) "out-of-range kill is a no-op"
+            (Some false) (effective m);
+          let q3 = status () in
+          Alcotest.(check bool) "query, no-op mutation, query: monotone" true
+            (no_later q2 m && no_later m q3)))
+
 (* --- incremental decoder ----------------------------------------------- *)
 
 let test_decoder_incremental () =
@@ -877,8 +1005,9 @@ let suite =
     Alcotest.test_case "protocol rejects garbage" `Quick
       test_protocol_rejects_garbage;
     Alcotest.test_case "view snapshot isolation" `Quick test_view_isolation;
-    Alcotest.test_case "view distance memo keeps the last answer" `Quick
-      test_view_distance_memo;
+    QCheck_alcotest.to_alcotest prop_view_distances;
+    Alcotest.test_case "view distances, every node live, one edge dead"
+      `Quick test_view_distances_dead_edge;
     QCheck_alcotest.to_alcotest prop_view_components;
     Alcotest.test_case "session ≡ run (deterministic)" `Quick
       test_session_equals_run;
@@ -896,6 +1025,8 @@ let suite =
       test_daemon_component_queries;
     Alcotest.test_case "daemon mutations wake only their neighbourhood"
       `Quick test_daemon_mutations_wake_neighbourhood;
+    Alcotest.test_case "daemon stamps mutations without a snapshot" `Quick
+      test_daemon_mutation_stamps;
     Alcotest.test_case "daemon restarts after quiescence" `Quick
       test_daemon_restarts_after_quiescence;
     Alcotest.test_case "decoder reassembles incrementally" `Quick
