@@ -174,24 +174,53 @@ let zero_alloc_rounds net step =
   let w1 = Gc.minor_words () in
   (Network.activations net - a0, w1 -. w0, Network.frontier_rescans net - r0)
 
+(* A record state on the resync path: a converged shortest-paths grid
+   on 4 shards with no link, where before each round [set_state] writes
+   10 nodes' own states back.  Each write moves the epoch, so the round
+   resyncs the ghosts and re-steps the written neighbourhoods, every
+   activation a no-op: the step must return [self] rather than a fresh
+   record, and the commit must then skip the deep compare. *)
+let sp_grid_net ~n = sp_net ~side:(int_of_float (sqrt (float_of_int n)))
+
+let resynced_noops net =
+  let sh = Sharded.create ~shards:4 net in
+  while Sharded.step ~dirty:true sh do
+    ()
+  done;
+  let size = Array.length (Network.raw_states net) in
+  let writes = Array.init 10 (fun i -> (2 * i + 1) * size / 20) in
+  fun () ->
+    for i = 0 to Array.length writes - 1 do
+      let v = writes.(i) in
+      Network.set_state net v (Network.state net v)
+    done;
+    Sharded.step ~dirty:true sh
+
 let assert_zero_alloc_sync ~n =
   let sharded net =
     let sh = Sharded.create ~shards:4 net in
     fun () -> Sharded.step ~dirty:true sh
   in
   let dirty net () = Network.sync_step_dirty net in
+  (* each mode runs its own rounds, so the modes may differ in state type *)
+  let mode name mk ~sparse step =
+    (name, sparse, fun () -> zero_alloc_rounds (mk ~n) step)
+  in
   let modes =
     [
-      ("sync_step", flood_net, false, fun net () -> Network.sync_step net);
-      ("sync_step_dirty", flood_net, false, dirty);
-      ("sync_step_dirty (sparse)", wave_net, true, dirty);
-      ("sharded dirty step", flood_net, false, sharded);
-      ("sharded dirty step (sparse)", wave_net, true, sharded);
+      mode "sync_step" flood_net ~sparse:false (fun net () ->
+          Network.sync_step net);
+      mode "sync_step_dirty" flood_net ~sparse:false dirty;
+      mode "sync_step_dirty (sparse)" wave_net ~sparse:true dirty;
+      mode "sharded dirty step" flood_net ~sparse:false sharded;
+      mode "sharded dirty step (sparse)" wave_net ~sparse:true sharded;
+      mode "sharded resync, record no-ops" sp_grid_net ~sparse:true
+        resynced_noops;
     ]
   in
   List.fold_left
-    (fun (acts, words, pass) (name, mk, sparse, step) ->
-      let a, w, rescans = zero_alloc_rounds (mk ~n) step in
+    (fun (acts, words, pass) (name, sparse, run) ->
+      let a, w, rescans = run () in
       let ok = w < 64.0 && not (sparse && rescans > 0) in
       if w >= 64.0 then
         Printf.printf
@@ -717,9 +746,10 @@ type results = {
   r_samples : sample list;
   r_za : int * float * bool;  (* zero-alloc view: acts, words, pass *)
   r_za_sync : int * float * bool;
-      (* zero-alloc rounds over the five modes of [assert_zero_alloc_sync]
+      (* zero-alloc rounds over the six modes of [assert_zero_alloc_sync]
          (naive; dense and sparse dirty flat; dense and sparse dirty
-         sharded): activations summed, words the worst mode's, pass *)
+         sharded; sharded record-state no-ops after a resync):
+         activations summed, words the worst mode's, pass *)
   r_picks : (int * float) list;  (* victim picks: n, words per pick *)
   r_analysis : (int * (string * float) list) list;
       (* analysis kernels: n, words per call of each *)

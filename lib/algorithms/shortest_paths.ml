@@ -11,28 +11,30 @@ let automaton ~sinks ~cap =
     if List.mem v sinks then { is_sink = true; label = 0 }
     else { is_sink = false; label = cap }
   in
+  (* An unchanged label returns [self] itself, so a no-op activation
+     allocates nothing and the engine's commit skips the deep compare. *)
+  let relabel self label =
+    if label = self.label then self else { self with label }
+  in
   let step ~self view =
     (* a sink actively re-asserts label 0 ("each node in T fixes its
        label at 0"), which is also what makes the algorithm
        self-stabilizing from corrupted configurations *)
-    if self.is_sink then { self with label = 0 }
+    if self.is_sink then relabel self 0
     else begin
       (* Smallest neighbour label + 1, capped.  min over the label
          multiset is the canonical infimum observation of §5 (on a
          finite label range it unfolds into the per-label thresh scan
          "is some neighbour labelled j?"), computed here in one
-         allocation-free pass instead of cap view scans. *)
-      let label =
-        match
-          View.map_join
-            (fun s -> s.label)
-            (fun (a : int) b -> if a <= b then a else b)
-            view
-        with
-        | None -> cap
-        | Some m -> min cap (m + 1)
+         allocation-free pass instead of cap view scans: a fold of
+         min-with-[cap], which is order-independent, so no neighbour
+         (or an empty view) leaves [cap]. *)
+      let m =
+        View.fold_monoid
+          (fun acc s -> if s.label < acc then s.label else acc)
+          cap view
       in
-      { self with label }
+      relabel self (if m < cap then m + 1 else cap)
     end
   in
   Fssga.deterministic ~name:"shortest-paths" ~init ~step

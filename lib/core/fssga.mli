@@ -16,7 +16,13 @@
 type 'q transition = self:'q -> rng:Symnet_prng.Prng.t -> 'q View.t -> 'q
 (** One activation.  [rng] models the per-activation uniform choice
     [i in {0..r-1}] of Definition 3.11; deterministic automata simply do
-    not consult it. *)
+    not consult it.
+
+    A step that leaves the state unchanged should return [self] itself
+    (physically), not an equal copy: the engine tests physical equality
+    first and then skips the structural compare of its commit, and for
+    a boxed state the no-op activation then allocates nothing.  Returning
+    an equal copy is still correct, only slower. *)
 
 type 'q t = {
   name : string;  (** for traces and error messages *)

@@ -72,7 +72,7 @@ type 'q t = {
   mutable epoch : int;
       (* bumped on every state write (commits, [set_state], [activate],
          [restore]); the sharded runtime latches it after each round and
-         resyncs its local copies when an external write moved it *)
+         resyncs its ghosts when an external write moved it *)
 }
 
 let push_into scratch states = fun w -> View.push scratch states.(w)

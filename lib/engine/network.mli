@@ -265,22 +265,23 @@ val digest_invalidate : 'q digest -> unit
 
 (** {1 Sharded-runtime internals}
 
-    Raw access for {!Sharded_network}, which owns per-shard copies of
-    the state partition and must observe and reuse the flat engine's
-    counters, dirty set and per-node rng streams so that sharded rounds
-    stay bit-identical to flat ones.  Not for algorithm code: the arrays
-    returned are the live internals, not copies. *)
+    Raw access for {!Sharded_network}, whose shards read and commit
+    their owned slices of the flat state array in place and must
+    observe and reuse the flat engine's counters, dirty set and
+    per-node rng streams so that sharded rounds stay bit-identical to
+    flat ones.  Not for algorithm code: the arrays returned are the live
+    internals, not copies. *)
 
 val state_epoch : 'q t -> int
 (** A counter bumped on every state write ({!set_state}, {!activate},
     commits, {!restore}).  The sharded runtime latches it after each
     round; a mismatch at the next round means an external write
-    happened and its local copies must resynchronise from
-    {!raw_states}. *)
+    happened and its ghosts must resynchronise from {!raw_states}. *)
 
 val raw_states : 'q t -> 'q array
 (** The live state array, indexed by node id (dead nodes retain their
-    last state).  Treat as read-only outside commit helpers. *)
+    last state).  The same array for the network's whole life, so a
+    shard may keep it.  Treat as read-only outside commit helpers. *)
 
 val raw_dirty : 'q t -> bool array
 (** The live dirty-flag array; [[||]] until tracking starts (call

@@ -1,7 +1,7 @@
 (* One partition of a sharded network: a contiguous node range [lo, hi)
-   with its own copy of the owned states, a translated view of the global
-   CSR slice, ghost buffers holding the last exchanged state of every
-   remote neighbour, and outbound message queues towards each peer shard.
+   of the flat engine's state array, a translated view of the global CSR
+   slice, ghost buffers holding the last exchanged state of every remote
+   neighbour, and outbound message queues towards each peer shard.
 
    The translation trick: the rows of a contiguous node range occupy a
    contiguous slice [off.(lo) .. off.(hi)) of the global CSR, so one
@@ -9,8 +9,10 @@
    either a local index (< n_local) or [n_local +] a ghost index.  A
    view fill is then a straight loop over the slice — the same slots, in
    the same order, with the same liveness filter as
-   [Graph.iter_neighbours] — reading only shard-local memory, which is
-   what makes the sharded read phase race-free by construction. *)
+   [Graph.iter_neighbours] — reading only the shard's own slice of the
+   flat array and its own ghosts.  Only this shard's commit writes that
+   slice and no commit runs during a read phase, which is what makes the
+   sharded read phase race-free by construction. *)
 
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
@@ -35,7 +37,9 @@ type 'q t = {
   slot0 : int;  (* global CSR slot base: off.(lo) *)
   code : int array;
       (* per slice slot: local target index, or n_local + ghost index *)
-  states : 'q array;  (* the owned partition, length n_local *)
+  states : 'q array;
+      (* the flat engine's state array itself, not a copy: this shard
+         reads and commits its owned cells [lo, hi) there *)
   next : 'q array;  (* commit buffer, length n_local *)
   ghosts : 'q array;  (* frozen remote-boundary states *)
   ghost_ids : int array;  (* ghost index -> global node id, ascending *)
@@ -181,8 +185,8 @@ let build ~(csr : Graph.csr) ~boundaries ~(states : 'q array) : 'q t array =
         n_local = nl;
         slot0;
         code;
-        states = Array.sub states lo nl;
-        next = Array.sub states lo nl;
+        states;
+        next = (if nl = 0 then [||] else Array.make nl states.(lo));
         ghosts = Array.init (Array.length gids) (fun j -> states.(gids.(j)));
         ghost_ids = gids;
         out_off = out_off.(s);
@@ -205,14 +209,15 @@ let build ~(csr : Graph.csr) ~boundaries ~(states : 'q array) : 'q t array =
 
 (* --- read phase -------------------------------------------------------- *)
 
-(* Fill one node's view from local + ghost memory and step it.  Same
+(* Fill one node's view from the owned slice + ghosts and step it.  Same
    slots, same order, same liveness filter as [Graph.iter_neighbours]
    over the global CSR — so the view (and hence the transition) is
    bit-identical to the flat engine's. *)
 let read_one sh ~(csr : Graph.csr) ~(aut : 'q Fssga.t) ~rng v =
   let scratch = sh.scratch in
   View.clear scratch;
-  let nl = sh.n_local in
+  let nl = sh.n_local and lo = sh.lo in
+  let states = sh.states and ghosts = sh.ghosts in
   let eid = csr.Graph.csr_eid
   and tgt = csr.Graph.csr_tgt
   and edge_alive = csr.Graph.csr_edge_alive
@@ -220,10 +225,10 @@ let read_one sh ~(csr : Graph.csr) ~(aut : 'q Fssga.t) ~rng v =
   for i = csr.Graph.csr_off.(v) to csr.Graph.csr_off.(v + 1) - 1 do
     if edge_alive.(eid.(i)) && node_alive.(tgt.(i)) then begin
       let c = sh.code.(i - sh.slot0) in
-      View.push scratch (if c < nl then sh.states.(c) else sh.ghosts.(c - nl))
+      View.push scratch (if c < nl then states.(lo + c) else ghosts.(c - nl))
     end
   done;
-  sh.next.(v - sh.lo) <- aut.Fssga.step ~self:sh.states.(v - sh.lo) ~rng scratch
+  sh.next.(v - lo) <- aut.Fssga.step ~self:states.(v) ~rng scratch
 
 (* This round's stepped set, ascending, is loaded into [frontier] before
    the read: every live owned node for a naive round, or the shard's
@@ -264,8 +269,8 @@ let enqueue sh q' li =
   done
 
 (* Quiet commit of the stepped set through the flat engine's per-node
-   helper (which owns the dirty re-marks); changed states update the
-   local copy and are enqueued towards every peer holding a ghost of the
+   helper (which writes the flat array and owns the dirty re-marks);
+   changed states are enqueued towards every peer holding a ghost of the
    node.  Safe to run concurrently across shards — each touches only its
    own range (plus benign dirty-flag races). *)
 let commit_quiet sh ~net =
@@ -276,7 +281,6 @@ let commit_quiet sh ~net =
     let q' = sh.next.(li) in
     if Network.commit_node_quiet net v q' then begin
       incr ch;
-      sh.states.(li) <- q';
       enqueue sh q' li
     end
   done;
@@ -294,7 +298,6 @@ let commit_recorded sh ~net =
     let q' = sh.next.(li) in
     if Network.commit_node net v q' then begin
       incr ch;
-      sh.states.(li) <- q';
       enqueue sh q' li
     end
   done;
@@ -343,37 +346,38 @@ let deliver sh ~slot ~state =
 
 (* --- resynchronisation / snapshots ------------------------------------- *)
 
-(* Refresh local copies and ghosts from the flat state array (the
-   authority) and drop any undelivered messages — used after external
-   state writes (faults, [set_state], [restore]) moved the epoch.  A
-   cell is written only when it does not already hold the authority's
-   value (physically): the external writes that trigger a resync touch
-   a handful of nodes, and every cell left alone is a write barrier
-   saved.  Every ghost is still compared, so link-fault semantics are
-   untouched. *)
-let resync sh ~(states : 'q array) =
-  let loc = sh.states in
-  for li = 0 to sh.n_local - 1 do
-    let q = states.(sh.lo + li) in
-    if q != loc.(li) then loc.(li) <- q
-  done;
-  let ghosts = sh.ghosts and ids = sh.ghost_ids in
+(* Refresh the ghosts from the flat state array (the authority) and
+   drop any undelivered messages — used after external state writes
+   (faults, [set_state], [Degrade_links]) moved the epoch.  Owned cells
+   need nothing: they are the flat array.  A ghost is written only when
+   it does not already hold the authority's value (physically), so a
+   resync costs a read pass over the ghosts and a write per moved one.
+   With [mark], each ghost it moves also re-marks the ghost node's
+   neighbourhood dirty: in a linked run a ghost can be stale because its
+   update is still in flight, its readers stepped against the stale
+   value and went clean, and the delivery that would have woken them is
+   among the messages dropped here. *)
+let resync sh ~net ~mark =
+  let states = sh.states and ghosts = sh.ghosts and ids = sh.ghost_ids in
   for j = 0 to Array.length ids - 1 do
     let q = states.(ids.(j)) in
-    if q != ghosts.(j) then ghosts.(j) <- q
+    if q != ghosts.(j) then begin
+      ghosts.(j) <- q;
+      if mark then Network.mark_dirty_around net ids.(j)
+    end
   done;
   for d = 0 to Array.length sh.outboxes - 1 do
     sh.outboxes.(d).q_len <- 0
   done
 
-type 'q snap = { sn_states : 'q array; sn_ghosts : 'q array }
+(* Owned states live in the flat array, which the network's own
+   checkpoint covers: a shard snapshot is its ghosts. *)
+type 'q snap = 'q array
 
-let snapshot sh =
-  { sn_states = Array.copy sh.states; sn_ghosts = Array.copy sh.ghosts }
+let snapshot sh = Array.copy sh.ghosts
 
 let restore_snap sh snap =
-  Array.blit snap.sn_states 0 sh.states 0 sh.n_local;
-  Array.blit snap.sn_ghosts 0 sh.ghosts 0 (Array.length sh.ghosts);
+  Array.blit snap 0 sh.ghosts 0 (Array.length sh.ghosts);
   Array.iter (fun q -> q.q_len <- 0) sh.outboxes
 
 (* --- telemetry accessors ------------------------------------------------ *)

@@ -1,14 +1,16 @@
 (** One partition of a sharded network (see {!Sharded_network} for the
     round protocol and the determinism argument).
 
-    A shard owns a contiguous node range [[lo, hi)] with a local copy of
-    the owned states, a translated slice of the global CSR, {e ghost}
-    buffers holding the last exchanged state of every remote neighbour,
-    and one outbound message queue per peer shard.  During the read
-    phase a shard touches only its own memory (local states + ghosts);
-    changed states are propagated to peers exclusively through the
-    queues, drained in deterministic (source shard, sequence) order at
-    the exchange phase — the paper's S16 bounded channels, double
+    A shard owns a contiguous node range [[lo, hi)] of the flat
+    engine's state array — there is no second copy of the owned states
+    — plus a translated slice of the global CSR, {e ghost} buffers
+    holding the last exchanged state of every remote neighbour, and one
+    outbound message queue per peer shard.  During the read phase a
+    shard touches only its owned slice of the flat array and its own
+    ghosts; only its own commit writes that slice, and no commit runs
+    during a read phase.  Changed states reach peers exclusively through
+    the queues, drained in deterministic (source shard, sequence) order
+    at the exchange phase — the paper's S16 bounded channels, double
     buffered: this round's reads see last round's exchanged ghosts while
     this round's sends accumulate in the outboxes. *)
 
@@ -19,9 +21,10 @@ type 'q t
 
 val build : csr:Graph.csr -> boundaries:int array -> states:'q array -> 'q t array
 (** Build the K shards of one partition ([boundaries] has K+1 entries,
-    ascending, from 0 to n).  Local copies and ghosts are initialised
-    from [states] (the flat engine's array); ghost indices — the message
-    slots — are a deterministic function of the partition alone. *)
+    ascending, from 0 to n).  [states] is the flat engine's array
+    ({!Network.raw_states}): the shards keep it, not a copy, and
+    initialise their ghosts from it; ghost indices — the message slots —
+    are a deterministic function of the partition alone. *)
 
 (** {1 Round phases} *)
 
@@ -42,7 +45,8 @@ val read :
   shared_rng:Prng.t ->
   rngs:Prng.t array ->
   int
-(** Step the loaded set against the frozen local+ghost snapshot.  Views
+(** Step the loaded set against the frozen snapshot (owned slice of the
+    flat array + ghosts).  Views
     are bit-identical to [Graph.iter_neighbours] fills; probabilistic
     nodes draw from [rngs.(v)], deterministic ones see [shared_rng] —
     exactly the flat engine's rng selection.  Returns the stepped
@@ -52,10 +56,10 @@ val stepped : 'q t -> int
 (** Nodes stepped by the last {!read} (the frontier size). *)
 
 val commit_quiet : 'q t -> net:'q Network.t -> int
-(** Commit the stepped set through {!Network.commit_node_quiet},
-    updating local copies and enqueueing changed states towards every
-    peer holding a ghost.  Concurrency-safe across shards.  Returns
-    (and latches, see {!last_committed}) the transition count. *)
+(** Commit the stepped set through {!Network.commit_node_quiet} (which
+    writes the flat array) and enqueue changed states towards every peer
+    holding a ghost.  Concurrency-safe across shards.  Returns (and
+    latches, see {!last_committed}) the transition count. *)
 
 val commit_recorded : 'q t -> net:'q Network.t -> int
 (** Commit with full bookkeeping ({!Network.commit_node}: recorder hook,
@@ -88,14 +92,21 @@ val deliver : 'q t -> slot:int -> state:'q -> bool
 
 (** {1 Resynchronisation / snapshots} *)
 
-val resync : 'q t -> states:'q array -> unit
-(** Refresh local copies and ghosts from the flat state array and drop
-    undelivered messages (after external writes moved the epoch).
-    Writes only the cells that are not physically equal to the flat
-    state, so a resync after a few external writes costs a read pass
-    over the shard, not a write barrier per cell. *)
+val resync : 'q t -> net:'q Network.t -> mark:bool -> unit
+(** Refresh the ghosts from the flat state array and drop undelivered
+    messages (after external writes moved the epoch).  Owned states need
+    no refresh: they are the flat array.  Writes only the ghosts that
+    are not physically equal to the flat state, so a resync costs a read
+    pass over the ghosts, not over the shard.  With [mark], every ghost
+    it rewrites re-marks its node's neighbourhood dirty
+    ({!Network.mark_dirty_around}): in a linked run that ghost's update
+    may be in flight among the dropped messages, and its delivery is
+    what would have woken the readers that stepped against the stale
+    value. *)
 
 type 'q snap
+(** A shard's ghosts; the owned states are in the network's own
+    checkpoint. *)
 
 val snapshot : 'q t -> 'q snap
 val restore_snap : 'q t -> 'q snap -> unit

@@ -4,19 +4,21 @@
    Round protocol (one [step]):
      1. resync  — if the flat engine's state epoch moved since our last
                   commit (faults, [set_state], [restore]), refresh every
-                  shard's local copies and ghosts from the flat array;
+                  shard's ghosts from the flat array;
      2. rebalance — optionally recut the partition on frontier imbalance;
-     3. read    — each shard steps its live (dirty) nodes against its
-                  frozen local+ghost snapshot, in parallel over the pool;
-     4. commit  — changed states are written to the flat array (the
-                  authority) and to the shard's local copy, and enqueued
-                  towards every peer holding a ghost of the node;
+     3. read    — each shard steps its live (dirty) nodes against the
+                  frozen snapshot — its owned slice of the flat array
+                  plus its ghosts — in parallel over the pool;
+     4. commit  — changed states are written once to the flat array (the
+                  authority, whose owned slice is the shard's state) and
+                  enqueued towards every peer holding a ghost of the node;
      5. exchange — each destination drains its inboxes in ascending
                   (source shard, sequence) order into its ghosts.
 
    Determinism: a node's view is a pure function of last round's
-   committed states — local copies for owned neighbours, ghosts (exactly
-   last round's exchanged values) for remote ones — so every (shards,
+   committed states — the flat array for owned neighbours (no commit
+   runs during a read phase), ghosts (exactly last round's exchanged
+   values) for remote ones — so every (shards,
    domains) combination computes the same round as the flat engine, bit
    for bit: states, change flags, counters, probabilistic draws (same
    per-node streams) and, with a recorder attached, the same telemetry
@@ -127,8 +129,14 @@ let create ?(rebalance_every = 0) ?(imbalance = 2.0) ~shards:k net =
   t
 
 let resync t =
-  let states = Network.raw_states t.net in
-  Array.iter (fun sh -> Shard.resync sh ~states) t.shards;
+  (* in-flight link traffic is about to be dropped: every ghost the pass
+     moves may have had its update among it, so wake its readers (an
+     unlinked run's ghosts are exact, and the writes that moved the epoch
+     marked their own neighbourhoods) *)
+  let mark = Option.is_some t.link in
+  for s = 0 to t.k - 1 do
+    Shard.resync t.shards.(s) ~net:t.net ~mark
+  done;
   (* ghosts are fresh copies of the authority again: in-flight link
      traffic is redundant, so restart the channels *)
   Option.iter Link.reset t.link;
@@ -364,7 +372,7 @@ let step ?pool ?(dirty = false) t =
   if dirty then Recorder.frontier recorder ~size:!stepped;
   let c1 = Clock.now_ns () in
   t.read_ns <- t.read_ns + (c1 - c0);
-  (* commit: to the flat array (authority), local copies and outboxes *)
+  (* commit: to the flat array (the authority) and the outboxes *)
   let any =
     if rec_on then begin
       (* sequential, shard- then node-ascending = flat ascending order:

@@ -3,11 +3,12 @@
     double-buffered message queues (the paper's S16 bounded channels).
 
     The graph's node range is cut into K contiguous shards, each owning
-    a local copy of its states, ghost buffers for remote neighbours and
-    per-peer outboxes (see {!Shard}).  A round is: parallel shard-local
-    read against the frozen local+ghost snapshot, commit to the flat
-    array (which stays the single source of truth for states, counters
-    and telemetry), then a deterministic exchange draining each
+    a slice of the flat state array (one state array, no per-shard
+    copy), ghost buffers for remote neighbours and per-peer outboxes
+    (see {!Shard}).  A round is: parallel shard-local read against the
+    frozen snapshot (owned slice + ghosts), commit to the flat array
+    (which stays the single source of truth for states, counters and
+    telemetry), then a deterministic exchange draining each
     destination's inboxes in ascending (source shard, sequence) order.
 
     Results are bit-identical to {!Network.sync_step} /
@@ -15,9 +16,10 @@
     states, change flags, activation/transition counts, probabilistic
     draws, and — when a recorder is attached — the recorded event bytes.
     External writes to the flat engine (chaos faults, [set_state],
-    [restore]) are detected through {!Network.state_epoch} and absorbed
-    by a resync at the next [step], so the sharded runtime composes with
-    the chaos engine and checkpointing unchanged. *)
+    [restore]) land in the owned slices directly; they are detected
+    through {!Network.state_epoch}, and a resync at the next [step]
+    refreshes the ghosts — O(ghosts), not O(n) — so the sharded runtime
+    composes with the chaos engine and checkpointing unchanged. *)
 
 type 'q t
 
@@ -66,7 +68,10 @@ val resync : 'q t -> unit
 (** Force a ghost refresh from the authoritative flat states (and reset
     the link channels).  Normally triggered automatically when
     {!Network.state_epoch} moves; exposed for recovery policies that
-    repair channels without touching states ([Degrade_links]). *)
+    repair channels without touching states ([Degrade_links]).  With a
+    link runtime attached, every ghost the refresh changes re-marks its
+    node's neighbourhood dirty: the dropped in-flight update would have
+    done so on delivery. *)
 
 (** {1 Checkpointing} *)
 

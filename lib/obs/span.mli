@@ -53,8 +53,8 @@ type phase =
           dirty worklist (or rescanning the flags when it is invalid),
           and in the sharded runtime handing each shard its slice *)
   | Shard_resync
-      (** the sharded runtime refreshing shard-local copies and ghosts
-          from the flat states after an external state write *)
+      (** the sharded runtime refreshing the shards' ghosts from the
+          flat states after an external state write *)
 
 val phase_name : phase -> string
 (** Stable lower-snake name, used as the Chrome-trace event name. *)

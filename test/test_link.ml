@@ -5,6 +5,7 @@
    link runtime's counters. *)
 
 module Gen = Symnet_graph.Gen
+module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
 module Network = Symnet_engine.Network
 module Sharded = Symnet_engine.Sharded_network
@@ -134,6 +135,77 @@ let prop_checkpoint_restore_deterministic =
       Sharded.restore sh cp;
       let replay2 = steps_after () in
       replay1 = replay2)
+
+(* --- resync drops in-flight traffic ----------------------------------- *)
+
+(* Every external write moves the epoch, and the resync that follows
+   drops the channels' in-flight updates.  A reader that stepped against
+   a ghost whose update was still in flight ended its round clean; the
+   dropped delivery was what would have re-marked it.  So the resync
+   must mark the readers of every ghost it moves, or a dirty run
+   quiesces with wrong labels.  Every [every] rounds [on_round] writes a
+   random node's own state back: a write that changes nothing but forces
+   the resync. *)
+let run_with_own_state_writes ~g ~seed ~spec ~shards ~every =
+  let n = Graph.original_size g in
+  let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
+  Network.set_par_cutoff net 0;
+  let chaos = chaos_of_spec ~seed spec in
+  let pick = Prng.create ~seed:((7 * seed) + 1) in
+  let on_round ~round net =
+    if round mod every = 0 then begin
+      let v = Prng.int pick n in
+      Network.set_state net v (Network.state net v)
+    end
+  in
+  let o = Runner.run ~dirty:true ~shards ~chaos ~on_round net in
+  (o, net)
+
+(* Without the marking, seed 15 on a 1,600-node path quiesces with 800
+   wrong labels, and seed 138 on a 16-node path with 8.  Each label
+   must be the hop distance to node 0. *)
+let test_resync_wakes_stale_ghost_readers () =
+  List.iter
+    (fun (n, seed) ->
+      let o, net =
+        run_with_own_state_writes ~g:(Gen.path n) ~seed
+          ~spec:"link=drop:p=0.2:reliable=true" ~shards:4 ~every:3
+      in
+      let wrong = ref 0 in
+      for v = 0 to n - 1 do
+        if A.Shortest_paths.label (Network.state net v) <> v then incr wrong
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "path:%d seed %d quiesced" n seed)
+        true o.Runner.quiesced;
+      Alcotest.(check int)
+        (Printf.sprintf "path:%d seed %d wrong labels" n seed)
+        0 !wrong)
+    [ (1600, 15); (16, 138) ]
+
+(* The property form: on random connected graphs, reliable drops and a
+   no-op external write every [every] rounds, a dirty sharded run
+   reaches the fault-free fixed point. *)
+let prop_own_state_writes_reach_fixed_point =
+  QCheck.Test.make ~count:40
+    ~name:"resync under reliable drops: fault-free fixed point"
+    QCheck.(
+      quad
+        (pair (int_range 8 40) (int_range 0 8))
+        (int_range 1 1000) (int_range 2 4) (int_range 2 4))
+    (fun (((n, _) as gspec), seed, every, shards) ->
+      let flat =
+        let net =
+          Network.init ~rng:(Prng.create ~seed) (graph_of gspec) (sp_automaton n)
+        in
+        let (_ : Runner.outcome) = Runner.run ~max_rounds:200 net in
+        Network.states net
+      in
+      let o, net =
+        run_with_own_state_writes ~g:(graph_of gspec) ~seed
+          ~spec:"link=drop:p=0.3:reliable=true" ~shards ~every
+      in
+      o.Runner.quiesced && Network.states net = flat)
 
 (* --- spec grammar ---------------------------------------------------- *)
 
@@ -320,6 +392,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_link_trace_bytes_across_domains;
     QCheck_alcotest.to_alcotest prop_reliable_drop_matches_flat;
     QCheck_alcotest.to_alcotest prop_checkpoint_restore_deterministic;
+    QCheck_alcotest.to_alcotest prop_own_state_writes_reach_fixed_point;
+    Alcotest.test_case "resync wakes stale-ghost readers" `Quick
+      test_resync_wakes_stale_ghost_readers;
     Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrip;
     Alcotest.test_case "spec errors list grammar" `Quick
       test_unknown_key_errors_list_grammar;

@@ -212,44 +212,63 @@ let prop_rebalance_preserves_results =
 
 (* External writes between rounds (set_state behind the wrapper's back)
    are picked up through the epoch counter: the sharded run must follow
-   the flat run through the same mid-run writes. *)
+   the flat run through the same mid-run writes, naive and dirty, on one
+   and two domains.  The writes land in the owned slices directly (the
+   shards keep no copy of their states), so only the ghosts need the
+   resync; each round writes the automaton's init, a random label, or
+   the node's own state back (an epoch move that changes nothing). *)
 let prop_external_writes_resync =
   QCheck.Test.make ~name:"external set_state resyncs shards" ~count:20
-    QCheck.(triple (int_range 3 40) (int_range 0 40) (int_range 2 8))
-    (fun (n, extra, rounds) ->
+    QCheck.(quad (int_range 3 40) (int_range 0 40) (int_range 2 8) bool)
+    (fun (n, extra, rounds, dirty) ->
       let g = graph_of (n, extra) in
       let poke net i =
-        (* rewrite some node's state to the automaton's init mid-run *)
         let v = i * 7 mod n in
+        let draw = Prng.split_key (Prng.create ~seed:(n + extra)) ~key:i in
         if Graph.is_live_node (Network.graph net) v then
           Network.set_state net v
-            ((Network.automaton net).Symnet_core.Fssga.init (Network.graph net) v)
+            (match i mod 3 with
+            | 0 ->
+                (Network.automaton net).Symnet_core.Fssga.init
+                  (Network.graph net) v
+            | 1 ->
+                { (Network.state net v) with
+                  A.Shortest_paths.label = Prng.int draw (n + 2) }
+            | _ -> Network.state net v)
+      in
+      let observe net flags =
+        (flags, Network.states net, Network.activations net,
+         Network.transitions net)
+      in
+      let step_flat net =
+        if dirty then Network.sync_step_dirty net else Network.sync_step net
       in
       let flat =
         let net =
           Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g) (sp_automaton n)
         in
-        let flags =
-          List.init rounds (fun i ->
-              poke net i;
-              Network.sync_step net)
-        in
-        (flags, Network.states net)
+        observe net
+          (List.init rounds (fun i ->
+               poke net i;
+               step_flat net))
       in
       List.for_all
         (fun shards ->
-          let net =
-            Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g)
-              (sp_automaton n)
-          in
-          Network.set_par_cutoff net 0;
-          let sh = Sharded.create ~shards net in
-          let flags =
-            List.init rounds (fun i ->
-                poke net i;
-                Sharded.step sh)
-          in
-          (flags, Network.states net) = flat)
+          List.for_all
+            (fun domains ->
+              Domain_pool.with_pool ~domains (fun pool ->
+                  let net =
+                    Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g)
+                      (sp_automaton n)
+                  in
+                  Network.set_par_cutoff net 0;
+                  let sh = Sharded.create ~shards net in
+                  observe net
+                    (List.init rounds (fun i ->
+                         poke net i;
+                         Sharded.step ~pool ~dirty sh))
+                  = flat))
+            [ 1; 2 ])
         shard_counts)
 
 (* Streamed construction: a grid built through Graph.of_adjacency runs
