@@ -23,6 +23,7 @@ module Runner = Symnet_engine.Runner
 module Domain_pool = Symnet_engine.Domain_pool
 module Sharded = Symnet_engine.Sharded_network
 module Chaos = Symnet_engine.Chaos
+module Link = Symnet_engine.Link
 module Fssga = Symnet_core.Fssga
 module View = Symnet_core.View
 module Serve_view = Symnet_serve.View
@@ -196,6 +197,26 @@ let resynced_noops net =
     done;
     Sharded.step ~dirty:true sh
 
+(* The same converged grid on 4 shards under a reliable-drop link
+   runtime: once it quiesces, every round has an empty frontier and
+   every channel is idle (empty outbox, nothing unacked, deferred, in
+   transit or out of order).  An idle channel must be skipped before
+   its batch list, delivery closure and keyed fault streams are made,
+   and [Link.busy] must ask without allocating: building them for the
+   12 idle channels cost about 2,000 words per round on a 60x60 grid. *)
+let linked_idle net =
+  let sh = Sharded.create ~shards:4 net in
+  let spec =
+    match Link.spec_of_string "link=drop:p=0.05:reliable=true" with
+    | Ok seg -> Link.merge_spec Link.default_spec seg
+    | Error e -> failwith e
+  in
+  Sharded.configure_link sh ~seed:5 spec;
+  while Sharded.step ~dirty:true sh do
+    ()
+  done;
+  fun () -> Sharded.step ~dirty:true sh
+
 let assert_zero_alloc_sync ~n =
   let sharded net =
     let sh = Sharded.create ~shards:4 net in
@@ -216,6 +237,7 @@ let assert_zero_alloc_sync ~n =
       mode "sharded dirty step (sparse)" wave_net ~sparse:true sharded;
       mode "sharded resync, record no-ops" sp_grid_net ~sparse:true
         resynced_noops;
+      mode "sharded linked, idle channels" sp_grid_net ~sparse:true linked_idle;
     ]
   in
   List.fold_left
@@ -232,6 +254,38 @@ let assert_zero_alloc_sync ~n =
           name rescans;
       (acts + a, Float.max words w, pass && ok))
     (0, 0., true) modes
+
+(* --- randomness -------------------------------------------------------- *)
+
+(* Minor words per call of the generator's draws that return immediates
+   and of the keyed split into a caller-owned stream.  The splitmix64
+   state is held unboxed, so each must allocate nothing; a boxed state
+   costs 6 words per [bits] or [bool], 14 per [int] and 15 per keyed
+   split. *)
+let prng_words () =
+  let g = rng 3 and into = rng 0 in
+  let sink = ref 0 in
+  let calls = 10_000 in
+  let per_call f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to calls do
+      f i
+    done;
+    let w1 = Gc.minor_words () in
+    (w1 -. w0) /. float_of_int calls
+  in
+  [
+    ("bits", per_call (fun _ -> sink := !sink lxor Prng.bits g));
+    ("bool", per_call (fun _ -> if Prng.bool g then incr sink));
+    ("int", per_call (fun i -> sink := !sink + Prng.int g i));
+    ("bernoulli", per_call (fun _ -> if Prng.bernoulli g ~p:0.3 then incr sink));
+    ( "split_key_into",
+      per_call (fun i ->
+          Prng.split_key_into g ~key:i ~into;
+          Prng.split_key_into into ~key:i ~into) );
+  ]
+
+let prng_words_bound = 0.0
 
 (* --- chaos victim selection ------------------------------------------ *)
 
@@ -492,8 +546,6 @@ let measure_sharded ~workload ~rounds ~configs mk =
 
 (* --- reliable exchange under link chaos ------------------------------- *)
 
-module Link = Symnet_engine.Link
-
 type exchange_sample = {
   ex_workload : string;
   ex_n : int;
@@ -746,10 +798,12 @@ type results = {
   r_samples : sample list;
   r_za : int * float * bool;  (* zero-alloc view: acts, words, pass *)
   r_za_sync : int * float * bool;
-      (* zero-alloc rounds over the six modes of [assert_zero_alloc_sync]
+      (* zero-alloc rounds over the seven modes of [assert_zero_alloc_sync]
          (naive; dense and sparse dirty flat; dense and sparse dirty
-         sharded; sharded record-state no-ops after a resync):
-         activations summed, words the worst mode's, pass *)
+         sharded; sharded record-state no-ops after a resync; sharded
+         linked rounds with every channel idle): activations summed,
+         words the worst mode's, pass *)
+  r_prng : (string * float) list;  (* draws: words per call of each *)
   r_picks : (int * float) list;  (* victim picks: n, words per pick *)
   r_analysis : (int * (string * float) list) list;
       (* analysis kernels: n, words per call of each *)
@@ -777,6 +831,7 @@ let ok r =
   let _, _, za = r.r_za in
   let _, _, za_sync = r.r_za_sync in
   za && za_sync
+  && List.for_all (fun (_, w) -> w <= prng_words_bound) r.r_prng
   && List.for_all (fun (_, w) -> w <= victim_words_bound) r.r_picks
   && List.for_all
        (fun (_, ks) -> List.for_all (fun (_, w) -> w <= analysis_words_bound) ks)
@@ -832,6 +887,13 @@ let collect ?(smoke = false) ?domains () =
     "  zero-alloc rounds:     %d activations, worst %.0f minor words: %s\n"
     zs_acts zs_words
     (if zs_pass then "ok" else "FAIL");
+  let prng = prng_words () in
+  List.iter
+    (fun (draw, w) ->
+      Printf.printf "  prng %-16s %6.2f words/call (bound %.0f): %s\n" draw w
+        prng_words_bound
+        (if w <= prng_words_bound then "ok" else "FAIL"))
+    prng;
   let picks = List.map (fun side -> victim_pick_words ~side) [ 142; 284 ] in
   List.iter
     (fun (pn, w) ->
@@ -998,6 +1060,7 @@ let collect ?(smoke = false) ?domains () =
       r_samples = samples;
       r_za = (za_acts, za_words, za_pass);
       r_za_sync = (zs_acts, zs_words, zs_pass);
+      r_prng = prng;
       r_picks = picks;
       r_analysis = analysis;
       r_view = view_queries;
@@ -1030,6 +1093,17 @@ let doc_of r =
       ("baseline", baseline_json);
       ("zero_alloc_view", za_json r.r_za);
       ("zero_alloc_sync", za_json r.r_za_sync);
+      ( "prng_alloc",
+        Jsonx.List
+          (List.map
+             (fun (draw, w) ->
+               Jsonx.Obj
+                 [
+                   ("draw", Jsonx.String draw);
+                   ("words_per_call", Jsonx.Float w);
+                   ("pass", Jsonx.Bool (w <= prng_words_bound));
+                 ])
+             r.r_prng) );
       ( "victim_picks",
         Jsonx.List
           (List.map

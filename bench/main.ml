@@ -8,6 +8,7 @@
      dune exec bench/main.exe -- e10     # one experiment
      dune exec bench/main.exe -- tables  # all experiment tables, no kernels
      dune exec bench/main.exe -- kernels # bechamel kernels only
+     dune exec bench/main.exe -- sort    # frontier sort: bitmap vs radix, us/sort
      dune exec bench/main.exe -- engine  # hot-path bench -> BENCH_engine.json
      dune exec bench/main.exe -- engine --smoke   # tiny CI variant
      dune exec bench/main.exe -- engine --domains 4   # pin parallel rows to {1,4}
@@ -48,6 +49,7 @@ let () =
       Kernels.run ()
   | [ _; "tables" ] -> run_tables ()
   | [ _; "kernels" ] -> Kernels.run ()
+  | [ _; "sort" ] -> Sort_bench.run ()
   | _ :: "engine" :: rest -> (
       (* engine [--smoke] [--domains N] in any order *)
       let rec parse smoke domains = function
@@ -104,8 +106,9 @@ let () =
       | Some f -> f ()
       | None ->
           Printf.eprintf
-            "unknown experiment %s (e01..e19, tables, kernels, engine)\n" name;
+            "unknown experiment %s (e01..e19, tables, kernels, engine, sort)\n"
+            name;
           exit 2)
   | _ ->
-      prerr_endline "usage: main.exe [e01..e19|tables|kernels|engine|all]";
+      prerr_endline "usage: main.exe [e01..e19|tables|kernels|engine|sort|all]";
       exit 2

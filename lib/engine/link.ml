@@ -7,7 +7,13 @@
    (src, dst, round, message index).  No draw depends on drain order,
    domain count, or wall time, so a given (seed, traffic) pair produces
    the same faults at every (shards, domains) configuration and across
-   rollback replays.
+   rollback replays.  The (src, dst) prefix of the chain is derived once
+   per channel; the round and message keys are split into two
+   generators the runtime owns, so keying costs no allocation.
+
+   A channel with nothing to send and nothing in flight draws nothing
+   and emits nothing, so the caller skips it ({!channel_busy}): an idle
+   round costs a constant per channel, not three keyed splits.
 
    On top of the lossy channel sits an optional reliable-exchange
    protocol (the paper's S16 bounded channels made explicit): messages
@@ -71,6 +77,7 @@ type 'q transit = {
 type 'q channel = {
   src : int;
   dst : int;
+  keyed : Prng.t;  (* the fault chain keyed by (src + 1, dst + 1) *)
   mutable next_seq : int;
   mutable expect : int;  (* receiver: next in-order seq *)
   mutable unacked : 'q pending list;  (* ascending seq *)
@@ -83,7 +90,8 @@ type 'q channel = {
 type 'q t = {
   k : int;
   spec : spec;
-  base : Prng.t;
+  round_rng : Prng.t;  (* re-keyed per (channel, round) *)
+  msg_rng : Prng.t;  (* re-keyed per message *)
   channels : 'q channel array array;  (* channels.(src).(dst) *)
   mutable cut : (int * int) list;
   (* counters (all cumulative) *)
@@ -98,10 +106,12 @@ type 'q t = {
 }
 
 let create ~seed ~shards spec =
+  let base = Prng.create ~seed in
   let channel src dst =
     {
       src;
       dst;
+      keyed = Prng.split_key (Prng.split_key base ~key:(src + 1)) ~key:(dst + 1);
       next_seq = 0;
       expect = 0;
       unacked = [];
@@ -114,7 +124,8 @@ let create ~seed ~shards spec =
   {
     k = shards;
     spec;
-    base = Prng.create ~seed;
+    round_rng = Prng.create ~seed;
+    msg_rng = Prng.create ~seed;
     channels = Array.init shards (fun s -> Array.init shards (channel s));
     cut = [];
     n_dropped = 0;
@@ -130,12 +141,23 @@ let create ~seed ~shards spec =
 let spec t = t.spec
 let set_cut t pairs = t.cut <- pairs
 
-let channel_busy c =
-  c.unacked <> [] || c.deferred <> [] || c.transit <> [] || c.ooo <> []
+(* Loops and a pattern match rather than iterators and polymorphic
+   [<> []]: the runtime asks every linked round, and asking allocates
+   nothing. *)
+let holds_traffic c =
+  match c with
+  | { unacked = []; deferred = []; transit = []; ooo = []; _ } -> false
+  | _ -> true
+
+let channel_busy t ~src ~dst = holds_traffic t.channels.(src).(dst)
 
 let busy t =
   let b = ref false in
-  Array.iter (Array.iter (fun c -> if channel_busy c then b := true)) t.channels;
+  for s = 0 to t.k - 1 do
+    for d = 0 to t.k - 1 do
+      if holds_traffic t.channels.(s).(d) then b := true
+    done
+  done;
   !b
 
 let reset t =
@@ -162,7 +184,7 @@ let quarantine_stalled t =
   let out = ref [] in
   Array.iter
     (Array.iter (fun c ->
-         if channel_busy c && not c.quarantined then begin
+         if holds_traffic c && not c.quarantined then begin
            c.quarantined <- true;
            t.n_quarantined <- t.n_quarantined + 1;
            out := (c.src, c.dst) :: !out
@@ -255,14 +277,11 @@ let exchange_channel t c ~round ~batch ~deliver ~recorder =
     List.sort (fun a b -> compare a.p_seq b.p_seq) (retx @ fresh)
   in
   (* 3. fault pipeline: one keyed rng per (channel, round, message) *)
-  let ch_rng =
-    Prng.split_key
-      (Prng.split_key (Prng.split_key t.base ~key:(c.src + 1)) ~key:(c.dst + 1))
-      ~key:round
-  in
+  Prng.split_key_into c.keyed ~key:round ~into:t.round_rng;
+  let rng = t.msg_rng in
   List.iteri
     (fun i p ->
-      let rng = Prng.split_key ch_rng ~key:(i + 1) in
+      Prng.split_key_into t.round_rng ~key:(i + 1) ~into:rng;
       let dropped = ref false in
       let copies = ref 1 in
       let due = ref round in

@@ -72,12 +72,21 @@ val exchange :
     this round through [deliver] in deterministic order.  Must be called
     for {e every} src ≠ dst channel {e every} round (delayed traffic can
     be due on a round with an empty batch), in ascending (dst, src)
-    order on a single domain.  Returns the delivered count. *)
+    order on a single domain — except idle channels (see
+    {!channel_busy}), which may be skipped.  Returns the delivered
+    count. *)
 
 val busy : 'q t -> bool
 (** Whether any channel still carries traffic (unacked, deferred,
     in-transit or buffered out-of-order) — OR this into the round's
-    activity so the run does not quiesce with messages in flight. *)
+    activity so the run does not quiesce with messages in flight.
+    Allocates nothing. *)
+
+val channel_busy : 'q t -> src:int -> dst:int -> bool
+(** Whether channel (src, dst) carries traffic, as {!busy} counts it.
+    A channel that does not, with an empty batch, is idle: {!exchange}
+    would draw, deliver and record nothing on it, so the caller may skip
+    the call (and building its batch) without changing any result. *)
 
 val reset : 'q t -> unit
 (** Drop all in-flight traffic and restart every channel's sequence

@@ -299,9 +299,10 @@ val take_frontier : 'q t -> int
 (** Take a dirty round's frontier: the live dirty nodes, ascending, land
     in [raw_frontier t] at indices [0 .. k-1] (k is returned) with their
     flags cleared; dead dirty nodes stay dirty for a later round.  Drains
-    the dirty worklist and radix-sorts it, O(w) per digit for w queued
-    nodes, or — when the worklist is invalid or overflowed — rescans the
-    flags in O(n) and rebuilds it.  Tracking must have started. *)
+    the dirty worklist and sorts it through a two-level bitmap
+    ({!Id_sort}), O(w + n/1024) for w queued nodes, or — when the
+    worklist is invalid or overflowed — rescans the flags in O(n) and
+    rebuilds it.  Tracking must have started. *)
 
 val raw_frontier : 'q t -> int array
 (** The buffer {!take_frontier} fills. *)

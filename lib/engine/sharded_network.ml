@@ -50,6 +50,8 @@ type 'q t = {
   mutable link_round : int;
       (* the round counter the link layer keys its fault draws on —
          saved in checkpoints so a rollback replays the same faults *)
+  mutable ghost_woke : bool;
+      (* set by a linked exchange whose delivery changed a ghost *)
   mutable bridge_pairs : (int * int) list;
       (* endpoints of bridge edges, for target=cut channel selection *)
   (* cumulative phase time (always measured — a handful of clock reads
@@ -117,6 +119,7 @@ let create ?(rebalance_every = 0) ?(imbalance = 2.0) ~shards:k net =
       migrated_boundaries = 0;
       link = None;
       link_round = 0;
+      ghost_woke = false;
       bridge_pairs = [];
       read_ns = 0;
       commit_ns = 0;
@@ -207,6 +210,14 @@ let rebalance t =
     if !moved > 0 then begin
       t.rebalances <- t.rebalances + 1;
       t.migrated_boundaries <- t.migrated_boundaries + !moved;
+      (* the new layout drops in-flight link traffic, and a dropped
+         update is a lost wake-up: readers that stepped against the
+         stale ghost went clean, and its delivery would have re-marked
+         them.  So a linked run first runs the resync ghost pass over
+         the old shards, which marks the neighbourhood of every ghost
+         that differs from the authority (unlinked ghosts are exact) *)
+      if Option.is_some t.link then
+        Array.iter (fun sh -> Shard.resync sh ~net:t.net ~mark:true) t.shards;
       layout t nb
     end
   end
@@ -272,51 +283,60 @@ let drain_dst t ~sp ~rd d =
   t.per_dst.(d) <- Shard.drain t.shards d;
   Span.record sp Span.Shard_exchange ~shard:d ~round:rd ~t0
 
+(* One linked channel's round: hand the outbox from [s] to [d] to the
+   link layer as a batch and apply what it delivers.  A late
+   (retransmitted/delayed) delivery that changes a ghost sets
+   [ghost_woke]: that can happen on a round with no local transitions,
+   and the next round will transition — so it must count as activity or
+   the run quiesces one round early with the update unread. *)
+let exchange_channel t lk ~dirty ~recorder ~s ~d =
+  let net = t.net and ssh = t.shards.(s) and dsh = t.shards.(d) in
+  let len = Shard.outbox_len ssh ~dst:d in
+  let batch =
+    List.init len (fun i ->
+        (Shard.outbox_slot ssh ~dst:d i, Shard.outbox_state ssh ~dst:d i))
+  in
+  Shard.outbox_clear ssh ~dst:d;
+  let deliver ~slot ~state =
+    let changed = Shard.deliver dsh ~slot ~state in
+    if changed then t.ghost_woke <- true;
+    (* a late delivery that changes a ghost lands after the commit
+       phase already marked this round's changed neighbourhoods:
+       re-mark the ghost's surroundings or its readers would stay
+       clean with a stale view *)
+    if changed && dirty then
+      Network.mark_dirty_around net (Shard.ghost_global dsh slot)
+  in
+  Link.exchange lk ~round:t.link_round ~src:s ~dst:d ~batch ~deliver ~recorder
+
 (* With a link runtime the exchange runs the fault/retry pipeline
    instead of the direct drain.  Always sequential, destination- then
    source-ascending on one domain: the link layer's event stream and
    counters must not depend on drain interleaving (chaos runs are about
-   determinism, not exchange throughput).  Returns whether a late
-   (retransmitted/delayed) delivery changed a ghost: that can happen on
-   a round with no local transitions, and the next round will transition
-   — so it must count as activity or the run quiesces one round early
-   with the update unread. *)
+   determinism, not exchange throughput).  An idle channel (empty
+   outbox, nothing in flight) would draw and deliver nothing, so it is
+   skipped before any batch, closure or keyed split is made: a round
+   pays for its traffic, plus a constant per channel.  Returns whether a
+   late delivery changed a ghost. *)
 let exchange_link t lk ~dirty ~recorder ~sp ~rd =
-  let net = t.net and shards = t.shards in
-  let ghost_woke = ref false in
+  let shards = t.shards in
+  t.ghost_woke <- false;
   for d = 0 to t.k - 1 do
     let t0 = Span.now sp in
-    let dsh = shards.(d) in
     let delivered = ref 0 in
     for s = 0 to t.k - 1 do
-      if s <> d then begin
-        let ssh = shards.(s) in
-        let len = Shard.outbox_len ssh ~dst:d in
-        let batch =
-          List.init len (fun i ->
-              (Shard.outbox_slot ssh ~dst:d i, Shard.outbox_state ssh ~dst:d i))
-        in
-        Shard.outbox_clear ssh ~dst:d;
-        let deliver ~slot ~state =
-          let changed = Shard.deliver dsh ~slot ~state in
-          if changed then ghost_woke := true;
-          (* a late delivery that changes a ghost lands after the commit
-             phase already marked this round's changed neighbourhoods:
-             re-mark the ghost's surroundings or its readers would stay
-             clean with a stale view *)
-          if changed && dirty then
-            Network.mark_dirty_around net (Shard.ghost_global dsh slot)
-        in
+      if
+        s <> d
+        && (Shard.outbox_len shards.(s) ~dst:d > 0
+           || Link.channel_busy lk ~src:s ~dst:d)
+      then
         delivered :=
-          !delivered
-          + Link.exchange lk ~round:t.link_round ~src:s ~dst:d ~batch ~deliver
-              ~recorder
-      end
+          !delivered + exchange_channel t lk ~dirty ~recorder ~s ~d
     done;
     t.per_dst.(d) <- !delivered;
     Span.record sp Span.Link_exchange ~shard:d ~round:rd ~t0
   done;
-  !ghost_woke
+  t.ghost_woke
 
 let step ?pool ?(dirty = false) t =
   let net = t.net in
@@ -468,7 +488,9 @@ let restore t cp =
   else
     (* the partition moved since the checkpoint (rebalance): rebuild the
        layout from the restored flat array, which the per-shard
-       snapshots are consistent with by construction *)
+       snapshots are consistent with by construction.  No wake-up pass
+       here, unlike [rebalance]: the traffic this drops belongs to the
+       abandoned timeline, whose readers are not the restored ones *)
     layout t (Array.copy cp.sc_boundaries);
   (* rewind the fault clock and clear the channels: replaying the same
      rounds re-derives the same link faults (rollback stability) *)

@@ -10,7 +10,9 @@
     experiment seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the splitmix64 counter and gamma, held
+    unboxed, so the draws that return immediates ({!bits}, {!bool},
+    {!int}, {!bernoulli}) and {!split_key_into} allocate nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed. *)
@@ -29,6 +31,14 @@ val split_key : t -> key:int -> t
     node is stepped — the determinism contract of the parallel engine.
     [split_key ~key:0] coincides with the stream the next {!split} would
     return.  @raise Invalid_argument on a negative key. *)
+
+val split_key_into : t -> key:int -> into:t -> unit
+(** [split_key_into g ~key ~into] overwrites [into] with the stream
+    [split_key g ~key] would return, and allocates nothing: hot paths
+    that derive a keyed stream per message or per round keep one
+    caller-owned generator (any [t], e.g. from {!create}) and re-key it.
+    [into] may be [g] itself, which walks a key chain in place.
+    @raise Invalid_argument on a negative key. *)
 
 val copy : t -> t
 (** [copy g] duplicates the exact current state (same future outputs). *)
@@ -69,3 +79,8 @@ val permutation : t -> int -> int array
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
+
+val popcount : int64 -> int
+(** Number of set bits, in constant time.  Splitting uses it to count a
+    derived gamma's bit transitions; exposed so it can be checked
+    against a bit-by-bit count. *)

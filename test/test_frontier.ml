@@ -13,6 +13,7 @@ module Runner = Symnet_engine.Runner
 module Fault = Symnet_engine.Fault
 module Chaos = Symnet_engine.Chaos
 module Domain_pool = Symnet_engine.Domain_pool
+module Id_sort = Symnet_engine.Id_sort
 module Fssga = Symnet_core.Fssga
 module Obs = Symnet_obs
 module Sp = Symnet_algorithms.Shortest_paths
@@ -251,6 +252,33 @@ let prop_frontier_is_live_flagged =
         nets;
       !ok && Network.states flat = Network.states shn)
 
+(* The frontier's bitmap sort against [List.sort]: several random
+   distinct id sets (both ends of the range included now and then)
+   through one scratch, so each sort also checks that the previous one
+   left the bitmap cleared. *)
+let prop_id_sort =
+  QCheck.Test.make ~name:"bitmap id sort = List.sort, scratch reusable"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 70_000) (list_of_size Gen.(1 -- 4) (pair small_nat int)))
+    (fun (n, sets) ->
+      let sorter = Id_sort.create ~n in
+      List.for_all
+        (fun (len, seed) ->
+          let r = Prng.create ~seed in
+          let len = min n (len * 7) in
+          let ids = Array.to_list (Array.sub (Prng.permutation r n) 0 len) in
+          let ids = if seed land 1 = 0 then 0 :: (n - 1) :: ids else ids in
+          let a = Array.of_list (List.sort_uniq compare ids) in
+          Prng.shuffle r a;
+          let want = List.sort compare (Array.to_list a) in
+          let buf = Array.append a [| -1; -2 |] in
+          Id_sort.sort sorter buf (Array.length a);
+          Array.to_list (Array.sub buf 0 (Array.length a)) = want
+          && buf.(Array.length a) = -1
+          && buf.(Array.length a + 1) = -2)
+        sets)
+
 (* Parallel quiet commits cannot queue (their re-marks would race), so a
    pooled run without a recorder rescans the flags every round.  That
    fallback must reproduce the single-domain run exactly — and must
@@ -301,4 +329,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frontier_is_live_flagged;
     Alcotest.test_case "pooled rescan fallback = 1 domain" `Quick
       test_parallel_fallback_matches;
+    QCheck_alcotest.to_alcotest prop_id_sort;
   ]

@@ -189,6 +189,195 @@ let test_shuffle_uniform_small () =
       Alcotest.(check bool) "near uniform" true (abs (c - 10_000) < 1_000))
     tbl
 
+(* --- the reference streams ------------------------------------------ *)
+
+(* Every public function must reproduce the frozen copy in prng_ref.ml
+   bit for bit: a program of random operations runs on a [Prng] and a
+   [Prng_ref] generator from the same seed in lockstep, following
+   split and keyed-split chains into children, and every output must
+   agree.  [Split_key_into] re-keys a caller-owned cell, in place
+   (into = the parent) for even keys and into a separate cell for odd
+   ones, where the parent must stay unadvanced. *)
+type op =
+  | Bits64
+  | Bits
+  | Bool
+  | Float
+  | Int of int
+  | Bernoulli of float
+  | Geometric of int
+  | Split
+  | Split_key of int
+  | Split_key_into of int
+  | Copy
+  | Shuffle of int
+  | Permutation of int
+  | Choose of int
+
+let string_of_op = function
+  | Bits64 -> "bits64"
+  | Bits -> "bits"
+  | Bool -> "bool"
+  | Float -> "float"
+  | Int n -> Printf.sprintf "int %d" n
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Geometric m -> Printf.sprintf "geometric %d" m
+  | Split -> "split"
+  | Split_key k -> Printf.sprintf "split_key %d" k
+  | Split_key_into k -> Printf.sprintf "split_key_into %d" k
+  | Copy -> "copy"
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+  | Permutation n -> Printf.sprintf "permutation %d" n
+  | Choose n -> Printf.sprintf "choose %d" n
+
+let gen_op =
+  let open QCheck.Gen in
+  (* bounds from tiny to max_int; 2^61 + 1 rejects about a quarter of
+     its draws, so the rejection branch of [int] is exercised *)
+  let bound =
+    oneof
+      [
+        int_range 1 100;
+        int_range 1 (1 lsl 30);
+        int_range (1 lsl 60) max_int;
+        return ((1 lsl 61) + 1);
+        return max_int;
+      ]
+  in
+  let key = oneof [ int_range 0 64; int_range 0 max_int ] in
+  frequency
+    [
+      (3, return Bits64);
+      (3, return Bits);
+      (2, return Bool);
+      (2, return Float);
+      (4, map (fun n -> Int n) bound);
+      (2, map (fun p -> Bernoulli p) (float_range 0. 1.));
+      (1, map (fun m -> Geometric m) (int_range 0 12));
+      (2, return Split);
+      (3, map (fun k -> Split_key k) key);
+      (3, map (fun k -> Split_key_into k) key);
+      (1, return Copy);
+      (1, map (fun n -> Shuffle n) (int_range 0 20));
+      (1, map (fun n -> Permutation n) (int_range 0 20));
+      (1, map (fun n -> Choose n) (int_range 1 20));
+    ]
+
+let arb_program =
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat "; " (List.map string_of_op ops)))
+    QCheck.Gen.(
+      pair (int_range min_int max_int) (list_size (int_range 1 60) gen_op))
+
+(* Runs [ops] on both generators; [false] at the first disagreement. *)
+let agree_with_reference (seed, ops) =
+  let bits_of f = Int64.bits_of_float f in
+  let rec go g r = function
+    | [] -> Prng.bits64 g = Prng_ref.bits64 r
+    | op :: rest -> (
+        match op with
+        | Bits64 -> Prng.bits64 g = Prng_ref.bits64 r && go g r rest
+        | Bits -> Prng.bits g = Prng_ref.bits r && go g r rest
+        | Bool -> Prng.bool g = Prng_ref.bool r && go g r rest
+        | Float ->
+            bits_of (Prng.float g) = bits_of (Prng_ref.float r) && go g r rest
+        | Int n -> Prng.int g n = Prng_ref.int r n && go g r rest
+        | Bernoulli p ->
+            Prng.bernoulli g ~p = Prng_ref.bernoulli r ~p && go g r rest
+        | Geometric max ->
+            Prng.geometric_bit g ~max = Prng_ref.geometric_bit r ~max
+            && go g r rest
+        | Split ->
+            let gc = Prng.split g and rc = Prng_ref.split r in
+            Prng.bits64 g = Prng_ref.bits64 r && go gc rc rest
+        | Split_key key ->
+            let gc = Prng.split_key g ~key and rc = Prng_ref.split_key r ~key in
+            Prng.bits64 g = Prng_ref.bits64 r && go gc rc rest
+        | Split_key_into key ->
+            let rc = Prng_ref.split_key r ~key in
+            if key land 1 = 0 then begin
+              Prng.split_key_into g ~key ~into:g;
+              go g rc rest
+            end
+            else begin
+              let into = Prng.create ~seed:key in
+              Prng.split_key_into g ~key ~into;
+              Prng.bits64 g = Prng_ref.bits64 r && go into rc rest
+            end
+        | Copy ->
+            let gc = Prng.copy g and rc = Prng_ref.copy r in
+            Prng.bits64 g = Prng_ref.bits64 r && go gc rc rest
+        | Shuffle n ->
+            let a = Array.init n (fun i -> i) and b = Array.init n (fun i -> i) in
+            Prng.shuffle g a;
+            Prng_ref.shuffle r b;
+            a = b && go g r rest
+        | Permutation n ->
+            Prng.permutation g n = Prng_ref.permutation r n && go g r rest
+        | Choose n ->
+            let a = Array.init n (fun i -> i * i) in
+            Prng.choose g a = Prng_ref.choose r a && go g r rest)
+  in
+  go (Prng.create ~seed) (Prng_ref.create ~seed) ops
+
+let prop_reference =
+  QCheck.Test.make ~count:500 ~name:"streams equal the frozen reference"
+    arb_program agree_with_reference
+
+(* Golden outputs of the reference, so that changing both copies the
+   same way cannot slip through. *)
+let test_golden () =
+  let g = Prng.create ~seed:42 in
+  Alcotest.(check int64) "seed 42, draw 1" 0x57E1FABA65107204L (Prng.bits64 g);
+  Alcotest.(check int64) "seed 42, draw 2" 0xF4ABD143FEB24055L (Prng.bits64 g);
+  Alcotest.(check int64) "split_key 7" 0x474667126A57DF4FL
+    (Prng.bits64 (Prng.split_key g ~key:7));
+  let d = Prng.split g in
+  Alcotest.(check int64) "split" 0x3C5A4628A3C42860L (Prng.bits64 d);
+  Alcotest.(check int) "int 1000" 409 (Prng.int d 1000);
+  Alcotest.(check int) "int max_int" 4391126854828779954 (Prng.int d max_int);
+  Alcotest.(check int64) "float" (Int64.bits_of_float 0x1.f78d8bf85bab8p-2)
+    (Int64.bits_of_float (Prng.float d));
+  (* a link-layer style chain, keyed (src + 1, dst + 1, round) *)
+  let l = Prng.create ~seed:3 in
+  let ch = Prng.create ~seed:0 in
+  Prng.split_key_into l ~key:2 ~into:ch;
+  Prng.split_key_into ch ~key:4 ~into:ch;
+  Prng.split_key_into ch ~key:17 ~into:ch;
+  Alcotest.(check int64) "keyed chain" 0x6C65BD797C659BD1L (Prng.bits64 ch);
+  Alcotest.(check bool) "keyed chain, bernoulli" true (Prng.bernoulli ch ~p:0.5)
+
+(* The constant-time population count equals the bit-by-bit loop it
+   replaced in [mix_gamma]. *)
+let popcount_loop x =
+  let c = ref 0 in
+  for i = 0 to 63 do
+    if Int64.(logand (shift_right_logical x i) 1L) = 1L then incr c
+  done;
+  !c
+
+let test_popcount_corners () =
+  List.iter
+    (fun (name, x) ->
+      Alcotest.(check int) name (popcount_loop x) (Prng.popcount x))
+    [
+      ("zero", 0L);
+      ("all ones", -1L);
+      ("alternating 0xAA..", 0xAAAAAAAAAAAAAAAAL);
+      ("alternating 0x55..", 0x5555555555555555L);
+      ("top bit", Int64.min_int);
+      ("low bit", 1L);
+      ("max_int64", Int64.max_int);
+    ]
+
+let prop_popcount =
+  QCheck.Test.make ~count:2000 ~name:"popcount equals the bit loop"
+    QCheck.(
+      map (fun x -> Int64.(logxor (of_int x) (shift_left (of_int x) 17))) int)
+    (fun x -> Prng.popcount x = popcount_loop x)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -209,4 +398,8 @@ let suite =
     Alcotest.test_case "geometric bit distribution" `Slow test_geometric_bit;
     Alcotest.test_case "permutation" `Quick test_permutation;
     Alcotest.test_case "shuffle uniformity" `Slow test_shuffle_uniform_small;
+    Alcotest.test_case "golden outputs" `Quick test_golden;
+    Alcotest.test_case "popcount corners" `Quick test_popcount_corners;
+    QCheck_alcotest.to_alcotest prop_reference;
+    QCheck_alcotest.to_alcotest prop_popcount;
   ]
