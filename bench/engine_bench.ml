@@ -381,16 +381,25 @@ let analysis_words ~side =
 
 let analysis_words_bound = 64.0
 
-(* Words per [View.distances] call on a warm serve view (its frozen
-   adjacency and search scratch built by a first query), minor and
+(* Words allocated so far, minor and major, promotions counted once. *)
+let heap_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words per [View.distances] call on a warm serve view, minor and
    major together, beyond the 3 words per cell of the returned list:
-   one random source and three random targets per call, on the same
-   damaged grids.  The search runs in the view's scratch, so a call
-   puts a constant on the heap.  A search that allocates its distance
-   array and queue per call puts 2n words on the major heap, which the
-   minor-word rows above cannot see. *)
-let view_query_words ~side =
-  let g = damaged_grid ~side in
+   one random source and three random targets per call.  The queries
+   run once before the window, so the view's landmark table, search
+   scratch (its buckets grown) and, for the breadth-first fallback, its
+   frozen adjacency are built; a call then puts a constant on the heap.
+   The damaged 317x317 grid is answered by the guided search, the
+   expander (a random tree plus as many chords) by the fallback after
+   a search overruns; the 100x100 grid mixes both, its targets' budgets
+   often summing past its node count.  The share of calls the guided
+   search answered is reported with each row.  A search that allocates
+   its distance array and queue per call puts 2n words on the major
+   heap, which the minor-word rows above cannot see. *)
+let view_query_words ~label g =
   let n = Graph.original_size g in
   let net =
     Network.init ~rng:(rng 1) g
@@ -399,29 +408,72 @@ let view_query_words ~side =
   let v = Serve_view.take ~round:0 net in
   let r = rng 2 in
   let calls = 16 and targets = 3 in
+  let live () = Graph.nth_live_node g (Prng.int r (Graph.node_count g)) in
   let queries =
-    List.init calls (fun _ ->
-        ([ Prng.int r n ], List.init targets (fun _ -> Prng.int r n)))
+    List.init calls (fun _ -> ([ live () ], List.init targets (fun _ -> live ())))
   in
-  ignore (Serve_view.distances v ~sources:[ 0 ] ~targets:[ n - 1 ]);
+  let run () =
+    List.iter
+      (fun (sources, targets) ->
+        ignore (Serve_view.distances v ~sources ~targets))
+      queries
+  in
+  run ();
+  let guided =
+    let lm = Serve_view.landmarks v and sc = Analysis.scratch g in
+    List.length
+      (List.filter
+         (fun (sources, targets) ->
+           Analysis.guided_distances lm g sc ~sources ~targets <> None)
+         queries)
+  in
   (* Words promoted in the window count as minor and as major words, so
      they are subtracted once; an empty minor heap at the start keeps
      the promotions of older blocks out of the window.  [Gc.counters]'s
      own minor count misses the current minor heap, hence
      [Gc.minor_words]. *)
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   Gc.minor ();
-  let w0 = words () in
-  List.iter
-    (fun (sources, targets) ->
-      ignore (Serve_view.distances v ~sources ~targets))
-    queries;
-  let w1 = words () in
+  let w0 = heap_words () in
+  run ();
+  let w1 = heap_words () in
   let cells = float_of_int (calls * targets) in
-  (n, (w1 -. w0 -. (3. *. cells)) /. float_of_int calls)
+  ( label,
+    n,
+    (w1 -. w0 -. (3. *. cells)) /. float_of_int calls,
+    float_of_int guided /. float_of_int calls )
+
+let expander () = Gen.random_connected (rng 3) ~n:20_000 ~extra_edges:20_000
+
+(* The landmark table's one-time build on the damaged 317x317 grid: its
+   words (the 8n-byte table and an n-cell queue) and wall-clock ms.
+   Reported, not bounded: a daemon builds it once. *)
+let landmark_build () =
+  let g = damaged_grid ~side:317 in
+  let w0 = heap_words () and t0 = Unix.gettimeofday () in
+  ignore (Analysis.landmarks g);
+  let t1 = Unix.gettimeofday () and w1 = heap_words () in
+  (Graph.original_size g, w1 -. w0, (t1 -. t0) *. 1e3)
+
+(* Words per [Analysis.freeze] of a 317x317 grid with 16 dead nodes and
+   every edge bit set: the graph's own rows are shared, so a freeze
+   costs the n-byte liveness copy and the dead ids.  Bound n/8 + 64;
+   rebuilding the rows costs n + 1 + 2m words (500k here). *)
+let freeze_words () =
+  let g = Gen.grid ~rows:317 ~cols:317 in
+  let n = Graph.original_size g in
+  for i = 0 to 15 do
+    Graph.remove_node g (i * 3_001 mod n)
+  done;
+  let calls = 4 in
+  Gc.minor ();
+  let w0 = heap_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Analysis.freeze g))
+  done;
+  let w1 = heap_words () in
+  (n, (w1 -. w0) /. float_of_int calls)
+
+let freeze_words_bound n = (float_of_int n /. 8.) +. 64.
 
 (* --- parallel synchronous rounds ------------------------------------- *)
 
@@ -807,8 +859,11 @@ type results = {
   r_picks : (int * float) list;  (* victim picks: n, words per pick *)
   r_analysis : (int * (string * float) list) list;
       (* analysis kernels: n, words per call of each *)
-  r_view : (int * float) list;
-      (* warm-view distance queries: n, words per call *)
+  r_view : (string * int * float * float) list;
+      (* warm-view distance queries: graph, n, words per call, share of
+         calls the guided search answered *)
+  r_landmarks : int * float * float;  (* table build: n, words, ms *)
+  r_freeze : int * float;  (* shared-row freeze: n, words per call *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -836,7 +891,9 @@ let ok r =
   && List.for_all
        (fun (_, ks) -> List.for_all (fun (_, w) -> w <= analysis_words_bound) ks)
        r.r_analysis
-  && List.for_all (fun (_, w) -> w <= analysis_words_bound) r.r_view
+  && List.for_all (fun (_, _, w, _) -> w <= analysis_words_bound) r.r_view
+  && (let fn, fw = r.r_freeze in
+      fw <= freeze_words_bound fn)
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -912,15 +969,26 @@ let collect ?(smoke = false) ?domains () =
         ks)
     analysis;
   let view_queries =
-    List.map (fun side -> view_query_words ~side) [ 100; 317 ]
+    List.map
+      (fun side ->
+        view_query_words ~label:(Printf.sprintf "grid %d" side) (damaged_grid ~side))
+      [ 100; 317 ]
+    @ [ view_query_words ~label:"expander" (expander ()) ]
   in
   List.iter
-    (fun (vn, w) ->
+    (fun (label, vn, w, guided) ->
       Printf.printf
-        "  warm-view distances   n=%-6d %6.1f words/call (bound %.0f): %s\n" vn
-        w analysis_words_bound
+        "  warm-view distances   %-8s n=%-6d %6.1f words/call (bound %.0f, guided %3.0f%%): %s\n"
+        label vn w analysis_words_bound (100. *. guided)
         (if w <= analysis_words_bound then "ok" else "FAIL"))
     view_queries;
+  let ((ln, lw, lms) as landmarks) = landmark_build () in
+  Printf.printf "  landmark table build  n=%-6d %9.0f words, %.1f ms (once per daemon)\n"
+    ln lw lms;
+  let ((fn, fw) as freeze) = freeze_words () in
+  Printf.printf "  freeze, shared rows   n=%-6d %9.1f words/call (bound %.0f): %s\n" fn fw
+    (freeze_words_bound fn)
+    (if fw <= freeze_words_bound fn then "ok" else "FAIL");
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -1064,6 +1132,8 @@ let collect ?(smoke = false) ?domains () =
       r_picks = picks;
       r_analysis = analysis;
       r_view = view_queries;
+      r_landmarks = landmarks;
+      r_freeze = freeze;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -1133,14 +1203,31 @@ let doc_of r =
       ( "view_alloc",
         Jsonx.List
           (List.map
-             (fun (vn, w) ->
+             (fun (label, vn, w, guided) ->
                Jsonx.Obj
                  [
+                   ("graph", Jsonx.String label);
                    ("n", Jsonx.Int vn);
                    ("words_per_call", Jsonx.Float w);
+                   ("guided_share", Jsonx.Float guided);
                    ("pass", Jsonx.Bool (w <= analysis_words_bound));
                  ])
              r.r_view) );
+      ( "landmarks_build",
+        let ln, lw, lms = r.r_landmarks in
+        Jsonx.Obj
+          [
+            ("n", Jsonx.Int ln); ("words", Jsonx.Float lw); ("ms", Jsonx.Float lms);
+          ] );
+      ( "freeze_alloc",
+        let fn, fw = r.r_freeze in
+        Jsonx.Obj
+          [
+            ("n", Jsonx.Int fn);
+            ("words_per_call", Jsonx.Float fw);
+            ("bound", Jsonx.Float (freeze_words_bound fn));
+            ("pass", Jsonx.Bool (fw <= freeze_words_bound fn));
+          ] );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

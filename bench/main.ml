@@ -9,6 +9,7 @@
      dune exec bench/main.exe -- tables  # all experiment tables, no kernels
      dune exec bench/main.exe -- kernels # bechamel kernels only
      dune exec bench/main.exe -- sort    # frontier sort: bitmap vs radix, us/sort
+     dune exec bench/main.exe -- distances [--smoke]  # guided vs BFS distance queries
      dune exec bench/main.exe -- engine  # hot-path bench -> BENCH_engine.json
      dune exec bench/main.exe -- engine --smoke   # tiny CI variant
      dune exec bench/main.exe -- engine --domains 4   # pin parallel rows to {1,4}
@@ -50,6 +51,8 @@ let () =
   | [ _; "tables" ] -> run_tables ()
   | [ _; "kernels" ] -> Kernels.run ()
   | [ _; "sort" ] -> Sort_bench.run ()
+  | [ _; "distances" ] -> Distance_bench.run ~smoke:false
+  | [ _; "distances"; "--smoke" ] -> Distance_bench.run ~smoke:true
   | _ :: "engine" :: rest -> (
       (* engine [--smoke] [--domains N] in any order *)
       let rec parse smoke domains = function

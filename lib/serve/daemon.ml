@@ -1,4 +1,5 @@
 module Graph = Symnet_graph.Graph
+module Analysis = Symnet_graph.Analysis
 module Network = Symnet_engine.Network
 module Runner = Symnet_engine.Runner
 module Fault = Symnet_engine.Fault
@@ -57,6 +58,9 @@ type 'q t = {
   d_mk_session : unit -> 'q Runner.session;
   mutable d_session : 'q Runner.session;
   mutable d_view : 'q View.t option;
+  d_landmarks : Analysis.landmarks Lazy.t;
+      (* built by the first distance query; the graph's structure never
+         changes, so every view shares it *)
   mutable d_running : bool;
   mutable d_clients : conn list;
   d_listen : Unix.file_descr;
@@ -106,13 +110,15 @@ let create ?(recorder = Obs.Recorder.null) ?(rounds_per_tick = 1)
      Unix.close listen;
      raise e);
   let s = session () in
+  let net = Runner.session_net s in
   {
-    d_net = Runner.session_net s;
+    d_net = net;
     d_state_json = state_json;
     d_recorder = recorder;
     d_mk_session = session;
     d_session = s;
     d_view = None;
+    d_landmarks = lazy (Analysis.landmarks (Network.graph net));
     d_running = true;
     d_clients = [];
     d_listen = listen;
@@ -132,6 +138,9 @@ let requests_served d = d.d_requests
 let rounds_run d = d.d_rounds_run
 let restarts d = d.d_restarts
 
+let landmarks d =
+  if Lazy.is_val d.d_landmarks then Some (Lazy.force d.d_landmarks) else None
+
 (* --- query evaluation -------------------------------------------------- *)
 
 let view d =
@@ -140,7 +149,7 @@ let view d =
   else begin
     let sp = Obs.Recorder.spans d.d_recorder in
     let t0 = Obs.Span.now sp in
-    let v = View.take ~round:d.d_rounds_run d.d_net in
+    let v = View.take ~landmarks:d.d_landmarks ~round:d.d_rounds_run d.d_net in
     Obs.Span.record sp Obs.Span.Serve_snapshot ~shard:0 ~round:d.d_rounds_run
       ~t0;
     d.d_view <- Some v;

@@ -16,7 +16,13 @@
     daemon converges again and keeps serving.  A mutation's reply takes
     no snapshot: it carries the current view's stamp while that view is
     still fresh, and otherwise the (version, epoch, rounds run) that a
-    snapshot taken then would carry. *)
+    snapshot taken then would carry.
+
+    Distance queries are answered by landmark-guided searches
+    ({!Symnet_graph.Analysis.guided_distances}).  The daemon builds the
+    landmark table on the first distance query, from the resident
+    graph's structure, which no mutation changes, and hands it to every
+    view it takes. *)
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -90,3 +96,7 @@ val rounds_run : 'q t -> int
 val restarts : 'q t -> int
 (** Serve-core restarts performed by the supervisor (also reported in
     [status] and [telemetry] responses). *)
+
+val landmarks : 'q t -> Symnet_graph.Analysis.landmarks option
+(** The landmark table every view shares, once a distance query has
+    built it. *)

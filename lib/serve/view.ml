@@ -16,20 +16,26 @@ type 'q t = {
   (* Derived analyses are memoised per snapshot: they die with it, so a
      stale answer would require a version/epoch collision — which the
      strictly monotonic counters rule out. *)
+  v_landmarks : Analysis.landmarks Lazy.t;
   mutable v_adj : Analysis.adjacency option;
   mutable v_scratch : Analysis.scratch option;
   mutable v_derived : derived option;
   mutable v_bridges : int list option;
 }
 
-let take ~round net =
+let take ?landmarks ~round net =
   let g = Network.graph net in
+  let v_graph = Graph.copy g in
   {
     v_states = Array.copy (Network.raw_states net);
-    v_graph = Graph.copy g;
+    v_graph;
     v_version = Graph.version g;
     v_epoch = Network.state_epoch net;
     v_round = round;
+    v_landmarks =
+      (match landmarks with
+      | Some l -> l
+      | None -> lazy (Analysis.landmarks v_graph));
     v_adj = None;
     v_scratch = None;
     v_derived = None;
@@ -88,17 +94,24 @@ let bridges v =
       v.v_bridges <- Some b;
       b
 
+let landmarks v = Lazy.force v.v_landmarks
+
 let distances v ~sources ~targets =
-  let adj = adjacency v in
+  let lm = landmarks v in
   let cell =
     match v.v_scratch with
     | Some _ as c -> c
-    | None -> Some (Analysis.scratch adj)
+    | None -> Some (Analysis.scratch v.v_graph)
   in
   (* The scratch is out of the view while the search runs, so a search
      that raises takes its dirty cells with it and the next query builds
      an idle one. *)
   v.v_scratch <- None;
-  let d = Analysis.target_distances adj (Option.get cell) ~sources ~targets in
+  let sc = Option.get cell in
+  let d =
+    match Analysis.guided_distances lm v.v_graph sc ~sources ~targets with
+    | Some d -> d
+    | None -> Analysis.target_distances (adjacency v) sc ~sources ~targets
+  in
   v.v_scratch <- cell;
   d

@@ -14,14 +14,24 @@
     {!Symnet_graph.Analysis.freeze}d adjacency; one component-label
     array over it, with the component sizes and the largest degree; the
     bridge list; and one search scratch that every distance query
-    reuses. *)
+    reuses.  Distance queries run landmark-guided searches
+    ({!Symnet_graph.Analysis.guided_distances}) over the graph copy
+    itself and freeze the adjacency only when they fall back to a
+    breadth-first search.  The landmark table depends on the graph's
+    structure alone, so views of one network can share it. *)
 
 type 'q t
 
-val take : round:int -> 'q Symnet_engine.Network.t -> 'q t
+val take :
+  ?landmarks:Symnet_graph.Analysis.landmarks Lazy.t ->
+  round:int ->
+  'q Symnet_engine.Network.t ->
+  'q t
 (** Copy the observable state (O(n) states + O(n + m) liveness; the
     immutable CSR is shared).  Must be called between rounds — the
-    daemon's event loop guarantees that. *)
+    daemon's event loop guarantees that.  [landmarks] (forced by the
+    first distance query) must be built from the network's graph or a
+    copy of it; without it the view builds its own on first use. *)
 
 val fresh : 'q t -> 'q Symnet_engine.Network.t -> bool
 (** Whether the view still matches the network's (version, epoch). *)
@@ -50,10 +60,17 @@ val component_of : 'q t -> int -> cap:int -> int * int list
 
 val bridges : 'q t -> int list
 
+val landmarks : 'q t -> Symnet_graph.Analysis.landmarks
+(** The view's landmark table, built now if nothing built it yet. *)
+
 val distances : 'q t -> sources:int list -> targets:int list -> int list
 (** The multi-source BFS distance of each target, in the order given:
     {!Symnet_graph.Analysis.distances} read at the targets ([max_int]
-    for an unreachable, dead or out-of-range target).  The search runs
-    in the view's scratch without allocating beyond the returned list,
-    stops once every live target is settled, and resets only the cells
-    it wrote. *)
+    for an unreachable, dead or out-of-range target).  An A* search
+    per target answers, or, when the targets' budgets predict more work
+    than one breadth-first search or a search overruns its budget, one
+    search that stops once every live target is settled.  Either runs
+    in the view's scratch without allocating beyond the returned list
+    and resets only the cells it wrote.
+    @raise Invalid_argument if [take]'s [landmarks] came from another
+    graph. *)

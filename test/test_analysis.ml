@@ -285,10 +285,144 @@ let test_deep_and_wide () =
     (let sources = List.init 2500 (fun i -> (2 * i) + 1) in
      Analysis.distances s ~sources = Ref.distances s ~sources)
 
+(* --- landmark-guided distances ------------------------------------------ *)
+
+(* The oracle families, plus a dense expander (2000 nodes, 2000 chords)
+   on which the guided search overruns its budget and the breadth-first
+   search answers. *)
+let build_guided (fam, a, b, seed) =
+  if fam = 6 then
+    Gen.random_connected (Prng.create ~seed) ~n:2000 ~extra_edges:2000
+  else build (fam, a, b, seed)
+
+(* The reference distances read at [targets]. *)
+let reference g ~sources ~targets =
+  let n = Graph.original_size g in
+  let want = Ref.distances g ~sources in
+  List.map (fun t -> if t >= 0 && t < n then want.(t) else max_int) targets
+
+(* Mutations, then the landmark table, then more mutations: the table
+   is built once from a graph with dead nodes and edges and must hold
+   after later kills and revivals, because it reads only the structure.
+   The scratch is taken last, from the graph the queries see.  Several
+   queries run through it; ids range over -2 .. n + 1, so lists hold
+   dead, out-of-range and duplicated ids, and a query may ask its own
+   sources as targets.  Both the budgeted policy (an answer or [None])
+   and every target's budget-free search must equal the reference. *)
+let prop_guided_match_reference =
+  QCheck.Test.make ~name:"guided distances = reference" ~count:300
+    QCheck.(
+      triple
+        (quad (int_range 0 6) small_nat small_nat small_nat)
+        (pair
+           (list_of_size Gen.(0 -- 12) (pair (int_range 0 2) small_nat))
+           (list_of_size Gen.(0 -- 12) (pair (int_range 0 2) small_nat)))
+        (list_of_size Gen.(1 -- 6)
+           (triple
+              (list_of_size Gen.(0 -- 4) small_nat)
+              (list_of_size Gen.(0 -- 5) small_nat)
+              bool)))
+    (fun (shape, (before, after), queries) ->
+      let g = build_guided shape in
+      mutate g before;
+      let lm = Analysis.landmarks g in
+      mutate g after;
+      let sc = Analysis.scratch g in
+      let n = Graph.original_size g in
+      let id x = (x mod (n + 4)) - 2 in
+      List.for_all
+        (fun (srcs, tgts, echo) ->
+          let sources = List.map id srcs in
+          let targets = List.map id tgts @ if echo then sources else [] in
+          let want = reference g ~sources ~targets in
+          (match Analysis.guided_distances lm g sc ~sources ~targets with
+          | Some d -> d = want
+          | None -> true)
+          && List.for_all2
+               (fun t w ->
+                 Analysis.guided_search lm g sc ~sources ~budget:max_int t
+                 = Some w)
+               targets want)
+        queries)
+
+(* The policy on fixed inputs.  On a 30x30 grid with dead nodes a
+   target whose budget, 64 x (LB + 1) settled nodes, is below the live
+   node count is answered by the guided search, and a far one by the
+   breadth-first search.  On the dense expander a search overruns, so
+   [guided_distances] declines while the budget-free search still
+   answers exactly. *)
+let test_guided_policy () =
+  let g = Gen.grid ~rows:30 ~cols:30 in
+  List.iter (Graph.remove_node g) [ 31; 62; 400; 401 ];
+  let lm = Analysis.landmarks g and sc = Analysis.scratch g in
+  let sources = [ 0 ] and targets = [ 93; 3 ] in
+  Alcotest.(check (option (list int))) "grid: answered by the guided search"
+    (Some (reference g ~sources ~targets))
+    (Analysis.guided_distances lm g sc ~sources ~targets);
+  Alcotest.(check (option (list int))) "grid: a far target declined" None
+    (Analysis.guided_distances lm g sc ~sources ~targets:[ 899 ]);
+  let g = build_guided (6, 0, 0, 1) in
+  let lm = Analysis.landmarks g and sc = Analysis.scratch g in
+  let r = Prng.create ~seed:4 in
+  let declined = ref 0 in
+  for _ = 1 to 20 do
+    let sources = [ Prng.int r 2000 ] and t = Prng.int r 2000 in
+    (match Analysis.guided_distances lm g sc ~sources ~targets:[ t ] with
+    | None -> incr declined
+    | Some d ->
+        Alcotest.(check (list int)) "expander answer" (reference g ~sources ~targets:[ t ]) d);
+    Alcotest.(check (option (list int))) "expander: budget-free search"
+      (Some (reference g ~sources ~targets:[ t ]))
+      (Option.map (fun d -> [ d ])
+         (Analysis.guided_search lm g sc ~sources ~budget:max_int t))
+  done;
+  Alcotest.(check bool) "expander: the fallback fires" true (!declined > 0)
+
+(* On an intact grid the landmarks are its corners and the bound is the
+   Manhattan distance between every pair of nodes. *)
+let test_bound_is_manhattan () =
+  let side = 20 in
+  let g = Gen.grid ~rows:side ~cols:side in
+  let lm = Analysis.landmarks g in
+  for u = 0 to (side * side) - 1 do
+    for v = 0 to (side * side) - 1 do
+      let manhattan = abs ((u / side) - (v / side)) + abs ((u mod side) - (v mod side)) in
+      if Analysis.lower_bound lm u v <> manhattan then
+        Alcotest.failf "bound %d -> %d is %d, Manhattan %d" u v
+          (Analysis.lower_bound lm u v) manhattan
+    done
+  done
+
+(* A table serves the graph it was built from and every copy (they
+   share the rows); any other graph's rows raise, even an identical
+   grid's. *)
+let test_landmarks_other_graph () =
+  let g = Gen.grid ~rows:5 ~cols:5 in
+  let lm = Analysis.landmarks g in
+  let copy = Graph.copy g in
+  Graph.remove_node copy 6;
+  Alcotest.(check (option int)) "a copy shares the rows"
+    (Some (List.hd (reference copy ~sources:[ 0 ] ~targets:[ 12 ])))
+    (Analysis.guided_search lm copy (Analysis.scratch copy) ~sources:[ 0 ]
+       ~budget:max_int 12);
+  let other = Gen.grid ~rows:5 ~cols:5 in
+  Alcotest.check_raises "another graph's rows"
+    (Invalid_argument "Analysis: landmarks built from another graph") (fun () ->
+      ignore
+        (Analysis.guided_distances lm other (Analysis.scratch other)
+           ~sources:[ 0 ] ~targets:[ 12 ]))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_kernels_match_reference;
     Alcotest.test_case "corner cases = reference" `Quick test_corner_cases;
     Alcotest.test_case "deep DFS, wide frontier = reference" `Quick
       test_deep_and_wide;
+    QCheck_alcotest.to_alcotest prop_guided_match_reference;
+    Alcotest.test_case "guided policy: answers and declines" `Quick
+      test_guided_policy;
+    Alcotest.test_case "intact grid: bound = Manhattan" `Quick
+      test_bound_is_manhattan;
+    Alcotest.test_case "landmarks of another graph raise" `Quick
+      test_landmarks_other_graph;
   ]

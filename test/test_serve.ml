@@ -194,6 +194,53 @@ let test_view_distances_dead_edge () =
     (View.distances v ~sources:[ 0 ] ~targets);
   Alcotest.(check int) "the cut edge is not taken" 11 want.(1)
 
+(* Views taken across a kill, a corruption and a revival share one
+   landmark table, built once by the first distance query; each view's
+   answers equal the reference on its own graph.  The targets lie near
+   the sources of a 40x40 grid, so their budgets stay below the node
+   count and the guided search answers (checked on a scratch of the
+   view's graph), a second query through the same view included.  A
+   table from another graph's rows raises. *)
+let test_views_share_landmarks () =
+  let g = Gen.grid ~rows:40 ~cols:40 in
+  let net = Network.init ~rng:(Prng.create ~seed:5) g (sp 1600) in
+  let builds = ref 0 in
+  let lm =
+    lazy
+      (incr builds;
+       Symnet_graph.Analysis.landmarks g)
+  in
+  let sources = [ 0; 1599 ] and targets = [ 41; 82; 1558 ] in
+  let check v =
+    let vg = View.graph v in
+    Alcotest.(check bool) "answered by the guided search" true
+      (Symnet_graph.Analysis.guided_distances (View.landmarks v) vg
+         (Symnet_graph.Analysis.scratch vg) ~sources ~targets
+      <> None);
+    List.iter
+      (fun targets ->
+        Alcotest.(check (list int)) "view distances = reference"
+          (Test_analysis.reference vg ~sources ~targets)
+          (View.distances v ~sources ~targets))
+      [ targets; List.rev targets ];
+    View.landmarks v
+  in
+  let take () = View.take ~landmarks:lm ~round:0 net in
+  let l0 = check (take ()) in
+  Graph.remove_node g 42;
+  let l1 = check (take ()) in
+  Network.set_state net 9 ((sp 1600).Fssga.init g 9);
+  let l2 = check (take ()) in
+  Graph.revive_node g 42;
+  let l3 = check (take ()) in
+  Alcotest.(check bool) "one physical table" true (l0 == l1 && l1 == l2 && l2 == l3);
+  Alcotest.(check int) "built once" 1 !builds;
+  let other = Gen.grid ~rows:40 ~cols:40 in
+  let v = View.take ~landmarks:(lazy (Symnet_graph.Analysis.landmarks other)) ~round:0 net in
+  Alcotest.check_raises "another graph's table"
+    (Invalid_argument "Analysis: landmarks built from another graph") (fun () ->
+      ignore (View.distances v ~sources ~targets))
+
 (* --- resumable sessions ------------------------------------------------ *)
 
 (* The probabilistic census draws from the network rng on every
@@ -529,6 +576,63 @@ let test_daemon_e2e () =
           let j = rpc d fd Protocol.Shutdown in
           check_ok j;
           Alcotest.(check bool) "daemon stopped" false (Daemon.running d)))
+
+(* The daemon builds the landmark table on the first distance query
+   and hands it to every view it takes: after a kill, a corruption and
+   a revival, the views answer from the same physical table, and every
+   answer equals the reference on the resident graph. *)
+let test_daemon_shares_landmarks () =
+  let g = Gen.grid ~rows:7 ~cols:7 in
+  let net =
+    Network.init ~rng:(Prng.create ~seed:9) g
+      (A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:49)
+  in
+  let addr = Daemon.Unix_sock (sock_path ()) in
+  let d =
+    Daemon.create
+      ~state_json:(fun s -> Jsonx.Int (A.Shortest_paths.label s))
+      ~session:(fun () -> Runner.start ~dirty:true net)
+      addr
+  in
+  Fun.protect
+    ~finally:(fun () -> Daemon.close d)
+    (fun () ->
+      let fd = Daemon.connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let sources = [ 0; 48 ] and targets = [ 8; 24; 40; 44 ] in
+          let distances () =
+            let j =
+              rpc d fd
+                (Protocol.Query (Protocol.Distances { sources; targets }))
+            in
+            check_ok j;
+            let got =
+              match get [ "data" ] j with
+              | Some (Jsonx.List xs) ->
+                  List.map
+                    (fun x -> Option.value (get_int [ "distance" ] x) ~default:max_int)
+                    xs
+              | _ -> Alcotest.fail "bad distances payload"
+            in
+            Alcotest.(check (list int)) "distances = reference"
+              (Test_analysis.reference g ~sources ~targets) got;
+            Option.get (Daemon.landmarks d)
+          in
+          check_ok (rpc d fd (Protocol.Query Protocol.Census));
+          Alcotest.(check bool) "no table before a distance query" true
+            (Daemon.landmarks d = None);
+          let l0 = distances () in
+          let mutate m = check_ok (rpc d fd (Protocol.Mutate m)) in
+          mutate (Protocol.Kill_node 24);
+          let l1 = distances () in
+          mutate (Protocol.Corrupt 8);
+          let l2 = distances () in
+          mutate (Protocol.Revive_node 24);
+          let l3 = distances () in
+          Alcotest.(check bool) "every view shares the table" true
+            (l0 == l1 && l1 == l2 && l2 == l3)))
 
 let test_daemon_restarts_after_quiescence () =
   let g = Gen.grid ~rows:4 ~cols:4 in
@@ -1008,6 +1112,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_view_distances;
     Alcotest.test_case "view distances, every node live, one edge dead"
       `Quick test_view_distances_dead_edge;
+    Alcotest.test_case "views share one landmark table" `Quick
+      test_views_share_landmarks;
     QCheck_alcotest.to_alcotest prop_view_components;
     Alcotest.test_case "session ≡ run (deterministic)" `Quick
       test_session_equals_run;
@@ -1027,6 +1133,8 @@ let suite =
       `Quick test_daemon_mutations_wake_neighbourhood;
     Alcotest.test_case "daemon stamps mutations without a snapshot" `Quick
       test_daemon_mutation_stamps;
+    Alcotest.test_case "daemon shares one landmark table" `Quick
+      test_daemon_shares_landmarks;
     Alcotest.test_case "daemon restarts after quiescence" `Quick
       test_daemon_restarts_after_quiescence;
     Alcotest.test_case "decoder reassembles incrementally" `Quick
