@@ -475,6 +475,58 @@ let freeze_words () =
 
 let freeze_words_bound n = (float_of_int n /. 8.) +. 64.
 
+(* Words per refresh of a warm serve view plus a restart checkpoint,
+   after one mutation of the converged 317x317 shortest-paths grid,
+   the daemon's way: a [kill_node] (marked, applied, acknowledged) and
+   a corruption ([set_state]).  Each refresh patches what the write and
+   flip logs name: a few closures and rng copies, against about 10^6
+   words for the fresh view and checkpoint they replace.  The view has
+   answered labels, bridges and a distance query before each refresh,
+   so the refresh finds a scratch to re-mark and arrays to keep, as the
+   daemon's does. *)
+let refresh_words () =
+  let side = 317 in
+  let g = Gen.grid ~rows:side ~cols:side in
+  let n = Graph.original_size g in
+  let aut = A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n in
+  let net = Network.init ~rng:(rng 1) g aut in
+  ignore (Runner.run ~dirty:true ~max_rounds:(4 * side) net : Runner.outcome);
+  let v = Serve_view.take ~round:0 net and cp = Network.checkpoint net in
+  let warm () =
+    ignore (Serve_view.component_sizes v);
+    ignore (Serve_view.bridges v);
+    ignore (Serve_view.distances v ~sources:[ 0 ] ~targets:[ n - 1 ])
+  in
+  warm ();
+  let kill u () =
+    Network.mark_dirty_around net u;
+    Graph.remove_node g u;
+    Network.ack_graph_mutations net
+  in
+  let corrupt u () = Network.set_state net u (aut.Fssga.init g u) in
+  (* one round of each first, so the logs' rings and the checkpoint's
+     flagged ids have their size *)
+  List.iter
+    (fun m ->
+      m ();
+      Serve_view.refresh ~round:0 v net;
+      Network.refresh_checkpoint net cp;
+      warm ())
+    [ kill 1_000; corrupt 2_000 ];
+  List.map
+    (fun (label, mutate) ->
+      mutate ();
+      Gc.minor ();
+      let w0 = heap_words () in
+      Serve_view.refresh ~round:0 v net;
+      Network.refresh_checkpoint net cp;
+      let w1 = heap_words () in
+      warm ();
+      (label, w1 -. w0))
+    [ ("kill_node", kill 50_000); ("corrupt", corrupt 60_000) ]
+
+let refresh_words_bound = 256.
+
 (* --- parallel synchronous rounds ------------------------------------- *)
 
 type par_sample = {
@@ -864,6 +916,8 @@ type results = {
          calls the guided search answered *)
   r_landmarks : int * float * float;  (* table build: n, words, ms *)
   r_freeze : int * float;  (* shared-row freeze: n, words per call *)
+  r_refresh : (string * float) list;
+      (* view + checkpoint refresh: mutation, words *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -894,6 +948,7 @@ let ok r =
   && List.for_all (fun (_, _, w, _) -> w <= analysis_words_bound) r.r_view
   && (let fn, fw = r.r_freeze in
       fw <= freeze_words_bound fn)
+  && List.for_all (fun (_, w) -> w <= refresh_words_bound) r.r_refresh
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -989,6 +1044,13 @@ let collect ?(smoke = false) ?domains () =
   Printf.printf "  freeze, shared rows   n=%-6d %9.1f words/call (bound %.0f): %s\n" fn fw
     (freeze_words_bound fn)
     (if fw <= freeze_words_bound fn then "ok" else "FAIL");
+  let refresh = refresh_words () in
+  List.iter
+    (fun (label, w) ->
+      Printf.printf "  refresh view + checkpoint after %-9s %6.0f words (bound %.0f): %s\n"
+        label w refresh_words_bound
+        (if w <= refresh_words_bound then "ok" else "FAIL"))
+    refresh;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -1134,6 +1196,7 @@ let collect ?(smoke = false) ?domains () =
       r_view = view_queries;
       r_landmarks = landmarks;
       r_freeze = freeze;
+      r_refresh = refresh;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -1228,6 +1291,18 @@ let doc_of r =
             ("bound", Jsonx.Float (freeze_words_bound fn));
             ("pass", Jsonx.Bool (fw <= freeze_words_bound fn));
           ] );
+      ( "refresh_alloc",
+        Jsonx.List
+          (List.map
+             (fun (label, w) ->
+               Jsonx.Obj
+                 [
+                   ("after", Jsonx.String label);
+                   ("words", Jsonx.Float w);
+                   ("bound", Jsonx.Float refresh_words_bound);
+                   ("pass", Jsonx.Bool (w <= refresh_words_bound));
+                 ])
+             r.r_refresh) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

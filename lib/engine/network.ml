@@ -72,9 +72,38 @@ type 'q t = {
       (* bumped on every state write (commits, [set_state], [activate],
          [restore]); the sharded runtime latches it after each round and
          resyncs its ghosts when an external write moved it *)
+  wlog : int array;
+      (* The write log: a ring, keyed by epoch, of the node each state
+         write wrote — the write that moved the epoch to [e] at [e land
+         (length - 1)].  Every epoch in [(wlog_from, epoch]] has its
+         entry, as long as it lies within the ring's length of [epoch].
+         A restore moves [wlog_from] up to the new epoch; a parallel
+         quiet commit, whose epoch bumps race, sets it to [suspended]
+         until the next sequential write. *)
+  mutable wlog_from : int;
 }
 
+let suspended = max_int
+
 let push_into scratch states = fun w -> View.push scratch states.(w)
+
+(* The cap bounds the worklist's memory and the worst-case sort, and
+   sits below the measured break-even: at n = 100,489 with random ids
+   (2-core x86 VM), draining and sorting n/16 queued nodes took about
+   115 us against 190 us for the flag rescan, n/8 about 210-240 us
+   against 250-270 us, and n/4 about 520-610 us against 360-450 us.
+   An overflow falls back to the rescan. *)
+let worklist_capacity n = max 64 (n / 16)
+
+(* The write log holds as many writes, rounded up to a power of two so
+   an epoch finds its cell with a mask: a reader further behind than
+   that is told that everything may have changed, and copies. *)
+let log_capacity n =
+  let c = ref 1 in
+  while !c < worklist_capacity n do
+    c := 2 * !c
+  done;
+  !c
 
 let init ~rng graph (automaton : 'q Fssga.t) =
   let states =
@@ -107,6 +136,8 @@ let init ~rng graph (automaton : 'q Fssga.t) =
       shard_transitions = [| 0 |];
       par_cutoff = 10_000;
       epoch = 0;
+      wlog = Array.make (log_capacity (Array.length states)) 0;
+      wlog_from = 0;
     }
   in
   t
@@ -198,14 +229,6 @@ let mark_dirty_around t v =
         end
       done
   end
-
-(* The cap bounds the worklist's memory and the worst-case sort, and
-   sits below the measured break-even: at n = 100,489 with random ids
-   (2-core x86 VM), draining and sorting n/16 queued nodes took about
-   115 us against 190 us for the flag rescan, n/8 about 210-240 us
-   against 250-270 us, and n/4 about 520-610 us against 360-450 us.
-   An overflow falls back to the rescan. *)
-let worklist_capacity n = max 64 (n / 16)
 
 let start_tracking t dirty =
   let n = Array.length dirty in
@@ -303,9 +326,37 @@ let take_frontier t =
   end
   else rescan t
 
+(* --- the write log --------------------------------------------------- *)
+
+(* Bump the epoch for a sequential write of [v] and log it, resuming a
+   suspended log from here. *)
+let log_write t v =
+  let e = t.epoch + 1 in
+  t.epoch <- e;
+  if t.wlog_from = suspended then t.wlog_from <- e - 1;
+  t.wlog.(e land (Array.length t.wlog - 1)) <- v
+
+let iter_writes t ~since f =
+  since = t.epoch
+  || since >= t.wlog_from
+     && since < t.epoch
+     && t.epoch - since <= Array.length t.wlog
+     &&
+     let mask = Array.length t.wlog - 1 in
+     for e = since + 1 to t.epoch do
+       f t.wlog.(e land mask)
+     done;
+     true
+
+(* Before commits from several domains at once: their re-marks would
+   race on the worklist, and their epoch bumps on the log. *)
+let prepare_parallel_commit t =
+  invalidate_worklist t;
+  t.wlog_from <- suspended
+
 let set_state t v q =
   t.states.(v) <- q;
-  t.epoch <- t.epoch + 1;
+  log_write t v;
   mark_dirty_around t v
 
 (* --- activation ------------------------------------------------------ *)
@@ -321,7 +372,7 @@ let activate t v =
     if changed then begin
       t.states.(v) <- q';
       t.transitions <- t.transitions + 1;
-      t.epoch <- t.epoch + 1;
+      log_write t v;
       mark_dirty_around t v
     end;
     if Recorder.enabled t.recorder then
@@ -340,7 +391,7 @@ let commit t v q' =
   if changed then begin
     t.states.(v) <- q';
     t.transitions <- t.transitions + 1;
-    t.epoch <- t.epoch + 1;
+    log_write t v;
     mark_dirty_around t v
   end;
   if Recorder.enabled t.recorder then
@@ -451,7 +502,9 @@ let rotor_step_dirty t =
    sequentially so the telemetry stream is bit-identical to the
    sequential engine).  The [mark_dirty_around] stores are the only
    cross-shard writes and are benign (every racer writes [true]) as long
-   as the caller invalidated the worklist first, so nobody queues. *)
+   as the caller ran [prepare_parallel_commit] first, so nobody queues
+   and nobody logs.  Called sequentially (the sharded runtime without a
+   pool), it logs its writes. *)
 let commit_quiet t v q' =
   let changed = q' != t.states.(v) && q' <> t.states.(v) in
   if changed then begin
@@ -460,6 +513,8 @@ let commit_quiet t v q' =
        after the barrier the value differs from any pre-round latch,
        which is all the epoch is for. *)
     t.epoch <- t.epoch + 1;
+    if t.wlog_from <> suspended then
+      t.wlog.(t.epoch land (Array.length t.wlog - 1)) <- v;
     mark_dirty_around t v
   end;
   changed
@@ -511,7 +566,7 @@ let sync_step_par ~pool t =
       !any
     end
     else begin
-      invalidate_worklist t;
+      prepare_parallel_commit t;
       Domain_pool.run pool ~n (fun slot lo hi ->
           let ch = ref 0 in
           for v = lo to hi - 1 do
@@ -571,7 +626,7 @@ let sync_step_dirty_par ~pool t =
       !any
     end
     else begin
-      invalidate_worklist t;
+      prepare_parallel_commit t;
       Domain_pool.run pool ~n:k (fun slot lo hi ->
           let ch = ref 0 in
           for i = lo to hi - 1 do
@@ -592,15 +647,24 @@ let dirty_step_sound t = Fssga.is_deterministic t.automaton
 
 (* --- checkpoint / restore -------------------------------------------- *)
 
+(* A checkpoint is refreshed in place: [cp_epoch] is the epoch its
+   states were last brought to, and its graph snapshot carries its own
+   version, so a refresh patches what the write and flip logs name
+   since.  The dirty set is kept as the ids of its flagged nodes, read
+   off the worklist when it is valid: usually a few, where a flag copy
+   would cost n. *)
 type 'q checkpoint = {
   cp_states : 'q array;
+  mutable cp_epoch : int; (* -1: never refreshed *)
   cp_graph : Graph.snapshot;
-  cp_rng : Prng.t;
-  cp_node_rngs : Prng.t array;
-  cp_activations : int;
-  cp_transitions : int;
-  cp_dirty : bool array; (* [||] when tracking hadn't started *)
-  cp_graph_synced : bool;
+  mutable cp_rng : Prng.t;
+  mutable cp_node_rngs : Prng.t array;
+  mutable cp_activations : int;
+  mutable cp_transitions : int;
+  mutable cp_tracking : bool; (* whether dirty tracking had started *)
+  mutable cp_flagged : int array; (* [0 .. cp_n_flagged - 1]: flagged ids *)
+  mutable cp_n_flagged : int;
+  mutable cp_graph_synced : bool;
       (* whether [graph_version] had acknowledged every graph mutation at
          checkpoint time.  The version itself is useless to store:
          [Graph.restore] bumps the counter (strict monotonicity), so the
@@ -608,24 +672,69 @@ type 'q checkpoint = {
          rollback is only the synced/pending distinction. *)
 }
 
+let push_flagged cp v =
+  let k = cp.cp_n_flagged in
+  if k = Array.length cp.cp_flagged then begin
+    let a = Array.make (max 64 (2 * k)) 0 in
+    Array.blit cp.cp_flagged 0 a 0 k;
+    cp.cp_flagged <- a
+  end;
+  cp.cp_flagged.(k) <- v;
+  cp.cp_n_flagged <- k + 1
+
+(* A valid worklist holds every flagged node exactly once. *)
+let save_flags t cp =
+  cp.cp_tracking <- dirty_tracking t;
+  cp.cp_n_flagged <- 0;
+  if t.work_ok then
+    for i = 0 to t.n_work - 1 do
+      push_flagged cp t.work.(i)
+    done
+  else Array.iteri (fun v f -> if f then push_flagged cp v) t.dirty
+
+let refresh_checkpoint t cp =
+  let n = Array.length t.states in
+  if Array.length cp.cp_states <> n then
+    invalid_arg "Network.refresh_checkpoint: checkpoint from a different network";
+  let states = t.states and saved = cp.cp_states in
+  if not (iter_writes t ~since:cp.cp_epoch (fun v -> saved.(v) <- states.(v)))
+  then Array.blit states 0 saved 0 n;
+  cp.cp_epoch <- t.epoch;
+  Graph.refresh cp.cp_graph ~from:t.graph;
+  cp.cp_rng <- Prng.copy t.rng;
+  cp.cp_node_rngs <- Array.map Prng.copy t.node_rngs;
+  cp.cp_activations <- t.activations;
+  cp.cp_transitions <- t.transitions;
+  save_flags t cp;
+  cp.cp_graph_synced <- t.graph_version = Graph.version t.graph
+
 let checkpoint t =
-  {
-    cp_states = Array.copy t.states;
-    cp_graph = Graph.snapshot t.graph;
-    cp_rng = Prng.copy t.rng;
-    cp_node_rngs = Array.map Prng.copy t.node_rngs;
-    cp_activations = t.activations;
-    cp_transitions = t.transitions;
-    cp_dirty = Array.copy t.dirty;
-    cp_graph_synced = t.graph_version = Graph.version t.graph;
-  }
+  let n = Array.length t.states in
+  let cp =
+    {
+      cp_states = (if n = 0 then [||] else Array.make n t.states.(0));
+      cp_epoch = -1;
+      cp_graph = Graph.snapshot t.graph;
+      cp_rng = t.rng;
+      cp_node_rngs = [||];
+      cp_activations = 0;
+      cp_transitions = 0;
+      cp_tracking = false;
+      cp_flagged = [||];
+      cp_n_flagged = 0;
+      cp_graph_synced = false;
+    }
+  in
+  refresh_checkpoint t cp;
+  cp
 
 let restore t cp =
-  if Array.length cp.cp_states <> Array.length t.states then
+  let n = Array.length t.states in
+  if Array.length cp.cp_states <> n then
     invalid_arg "Network.restore: checkpoint from a different network";
   (* Blit, never replace: the per-slot push closures capture [t.states],
      so the array's identity must survive a restore. *)
-  Array.blit cp.cp_states 0 t.states 0 (Array.length t.states);
+  Array.blit cp.cp_states 0 t.states 0 n;
   Graph.restore t.graph cp.cp_graph;
   (* Fresh copies each time, so restoring twice replays the identical
      random walk both times. *)
@@ -633,14 +742,17 @@ let restore t cp =
   t.node_rngs <- Array.map Prng.copy cp.cp_node_rngs;
   t.activations <- cp.cp_activations;
   t.transitions <- cp.cp_transitions;
-  (if Array.length cp.cp_dirty > 0 then
-     if Array.length t.dirty > 0 then
-       Array.blit cp.cp_dirty 0 t.dirty 0 (Array.length t.dirty)
-     else start_tracking t (Array.copy cp.cp_dirty)
-   else if Array.length t.dirty > 0 then
+  (if cp.cp_tracking then begin
+     if dirty_tracking t then Array.fill t.dirty 0 n false
+     else start_tracking t (Array.make n false);
+     for i = 0 to cp.cp_n_flagged - 1 do
+       t.dirty.(cp.cp_flagged.(i)) <- true
+     done
+   end
+   else if dirty_tracking t then
      (* Tracking started after the checkpoint; a fresh run from that
         point would start it all-dirty too. *)
-     Array.fill t.dirty 0 (Array.length t.dirty) true);
+     Array.fill t.dirty 0 n true);
   (* the worklist does not travel in checkpoints: rebuild from the
      restored flags at the next take *)
   invalidate_worklist t;
@@ -651,7 +763,9 @@ let restore t cp =
      at checkpoint time. *)
   (let v = Graph.version t.graph in
    t.graph_version <- (if cp.cp_graph_synced then v else v - 1));
-  t.epoch <- t.epoch + 1
+  (* every state may have moved: the write log restarts here *)
+  t.epoch <- t.epoch + 1;
+  t.wlog_from <- t.epoch
 
 let reseed t rng =
   t.rng <- rng;
@@ -732,7 +846,6 @@ let digest_of t prog =
   }
 
 let digest_network d = d.d_net
-let digest_invalidate d = d.d_version <- min_int
 
 (* Adapt a domain pool to [Sm_segtree]'s parallel-loop shape.  Only the
    big trees go wide (the segment tree runs its own cutoff below which

@@ -5,13 +5,13 @@
     Hot-path contract: a network owns one reusable {!Symnet_core.View.t}
     scratch cursor per execution slot (slot 0 is the sequential one; a
     parallel round over a [k]-domain pool uses [k] cursors, one per
-    domain, so they never race).  {!view_of} fills slot 0 in place by
-    iterating the graph's CSR adjacency, so {!activate} and {!sync_step}
-    perform zero per-node heap allocation for the view.  The returned
-    view is only valid until the next activation — transition functions
-    consume it synchronously (the {!Symnet_core.View} interface is
-    strict, so this cannot be violated from algorithm code), and callers
-    of {!view_of} must observe it before touching the network again.
+    domain, so they never race).  A node's view is filled into its
+    slot's cursor in place by iterating the graph's CSR adjacency, so
+    {!activate} and {!sync_step} perform zero per-node heap allocation
+    for the view.  A filled view is only valid until the next
+    activation — transition functions consume it synchronously (the
+    {!Symnet_core.View} interface is strict, so this cannot be violated
+    from algorithm code).
 
     Randomness contract for synchronous rounds: a {e probabilistic}
     automaton stepped by {!sync_step} (or its parallel/dirty variants)
@@ -26,7 +26,17 @@
     Asynchronous activation ({!activate}, and the rotor/random
     disciplines built on it) keeps drawing from the shared stream: there
     the activation order is the schedule, and sequential semantics are
-    the point. *)
+    the point.
+
+    Write log: every state write — a commit, {!set_state}, an
+    {!activate} that changes the node — moves {!state_epoch} by one and
+    is logged against the epoch it moved to, in a ring as long as the
+    dirty worklist ([max 64 (n/16)], rounded up to a power of two).
+    {!iter_writes} reads it back, and {!refresh_checkpoint} brings a
+    checkpoint up to date at the cost of what was written since.  A
+    {!restore}, a parallel quiet commit (its epoch bumps race) or a
+    reader further behind than the ring mean that everything may have
+    changed. *)
 
 module Graph := Symnet_graph.Graph
 module Prng := Symnet_prng.Prng
@@ -56,11 +66,6 @@ val state : 'q t -> int -> 'q
 val set_state : 'q t -> int -> 'q -> unit
 (** Override a node's state (tests and adversarial setups).  Keeps the
     dirty set honest when tracking is active. *)
-
-val view_of : 'q t -> int -> 'q Symnet_core.View.t
-(** The symmetric view of a node's live neighbourhood, filled into the
-    network's scratch buffer — allocation-free, but invalidated by the
-    next activation or [view_of] call on the same network. *)
 
 val activate : 'q t -> int -> bool
 (** Asynchronous activation of one live node (atomic read of self +
@@ -180,6 +185,20 @@ val ack_graph_mutations : 'q t -> unit
 type 'q checkpoint
 
 val checkpoint : 'q t -> 'q checkpoint
+(** Allocate a checkpoint and fill it by a full {!refresh_checkpoint}.
+    The dirty set is stored as the ids of its flagged nodes. *)
+
+val refresh_checkpoint : 'q t -> 'q checkpoint -> unit
+(** Bring a checkpoint of this network up to date in place, as if it
+    had been taken now: states at the nodes {!iter_writes} names since
+    it was last refreshed (or all of them when the log cannot tell),
+    graph liveness through {!Symnet_graph.Graph.refresh}, rng
+    copies, counters, and the flagged ids (read off the dirty worklist
+    when it is valid, otherwise by a flag scan).  Allocates the rng
+    copies and a constant when the dirty set has not outgrown its
+    largest size so far and the automaton is deterministic.
+    @raise Invalid_argument if the checkpoint is from another
+    network. *)
 
 val restore : 'q t -> 'q checkpoint -> unit
 (** Rewind the network to the checkpoint.  Restores into the existing
@@ -260,9 +279,6 @@ val digest_step :
     {!Symnet_obs.Recorder.digest_ns}.  Returns [true] if any state
     changed. *)
 
-val digest_invalidate : 'q digest -> unit
-(** Force a full rebuild at the next {!digest_step} (tests). *)
-
 (** {1 Sharded-runtime internals}
 
     Raw access for {!Sharded_network}, whose shards read and commit
@@ -277,6 +293,12 @@ val state_epoch : 'q t -> int
     commits, {!restore}).  The sharded runtime latches it after each
     round; a mismatch at the next round means an external write
     happened and its ghosts must resynchronise from {!raw_states}. *)
+
+val iter_writes : 'q t -> since:int -> (int -> unit) -> bool
+(** [iter_writes t ~since f] calls [f v] for each state write at an
+    epoch in [(since, state_epoch t]], oldest first ([v] may repeat),
+    and returns [true]; or returns [false], calling nothing, when the
+    write log does not reach back to [since]. *)
 
 val raw_states : 'q t -> 'q array
 (** The live state array, indexed by node id (dead nodes retain their
@@ -307,12 +329,14 @@ val take_frontier : 'q t -> int
 val raw_frontier : 'q t -> int array
 (** The buffer {!take_frontier} fills. *)
 
-val invalidate_worklist : 'q t -> unit
-(** Declare the dirty worklist incomplete, so the next
-    {!take_frontier} rescans the flags.  Required before committing
-    from several domains at once ({!commit_node_quiet} in parallel):
-    their re-marks would race on the worklist, and an invalid worklist
-    is never written. *)
+val prepare_parallel_commit : 'q t -> unit
+(** Required before committing from several domains at once
+    ({!commit_node_quiet} in parallel): declares the dirty worklist
+    incomplete, so the next {!take_frontier} rescans the flags, and
+    suspends the write log, which then reads as "everything changed"
+    until the next sequential write.  Their re-marks would race on the
+    worklist and their epoch bumps on the log; neither is then
+    written. *)
 
 val frontier_rescans : 'q t -> int
 (** How many frontiers were taken by a full flag rescan rather than
@@ -328,8 +352,8 @@ val commit_node : 'q t -> int -> 'q -> bool
 val commit_node_quiet : 'q t -> int -> 'q -> bool
 (** Commit one node without the recorder hook or the shared transition
     counter (count per shard, then {!add_transitions}).  Safe to call
-    concurrently on distinct nodes once {!invalidate_worklist} has run;
-    the dirty re-marks then race benignly. *)
+    concurrently on distinct nodes once {!prepare_parallel_commit} has
+    run; the dirty re-marks then race benignly. *)
 
 val add_activations : 'q t -> int -> unit
 (** Add to the activation counter (merged per-shard read counts). *)

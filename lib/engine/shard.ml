@@ -371,13 +371,15 @@ let resync sh ~net ~mark =
   done
 
 (* Owned states live in the flat array, which the network's own
-   checkpoint covers: a shard snapshot is its ghosts. *)
-type 'q snap = 'q array
+   checkpoint covers: a shard snapshot is its ghosts, and the count of
+   nodes it stepped last, which the rebalance policy reads. *)
+type 'q snap = { s_ghosts : 'q array; s_stepped : int }
 
-let snapshot sh = Array.copy sh.ghosts
+let snapshot sh = { s_ghosts = Array.copy sh.ghosts; s_stepped = sh.n_front }
 
 let restore_snap sh snap =
-  Array.blit snap 0 sh.ghosts 0 (Array.length sh.ghosts);
+  Array.blit snap.s_ghosts 0 sh.ghosts 0 (Array.length sh.ghosts);
+  sh.n_front <- snap.s_stepped;
   Array.iter (fun q -> q.q_len <- 0) sh.outboxes
 
 (* --- telemetry accessors ------------------------------------------------ *)
@@ -385,7 +387,6 @@ let restore_snap sh snap =
 let id sh = sh.id
 let lo sh = sh.lo
 let hi sh = sh.hi
-let n_local sh = sh.n_local
 let ghost_count sh = Array.length sh.ghost_ids
 let last_committed sh = sh.last_committed
 let msgs_out sh = sh.msgs_out

@@ -105,18 +105,20 @@ val resync : 'q t -> net:'q Network.t -> mark:bool -> unit
     value. *)
 
 type 'q snap
-(** A shard's ghosts; the owned states are in the network's own
-    checkpoint. *)
+(** A shard's ghosts and last stepped count ({!stepped}); the owned
+    states are in the network's own checkpoint. *)
 
 val snapshot : 'q t -> 'q snap
+
 val restore_snap : 'q t -> 'q snap -> unit
+(** Put back the ghosts and the stepped count, and drop undelivered
+    messages.  The shard must have the snapshot's layout. *)
 
 (** {1 Telemetry accessors} *)
 
 val id : 'q t -> int
 val lo : 'q t -> int
 val hi : 'q t -> int
-val n_local : 'q t -> int
 val ghost_count : 'q t -> int
 val last_committed : 'q t -> int
 (** Transitions committed in the last round. *)

@@ -43,8 +43,6 @@ type 'q t = {
   rebalance_every : int;  (* 0 = never *)
   imbalance : float;  (* rebalance when max/mean frontier exceeds this *)
   mutable rounds : int;
-  mutable rebalances : int;
-  mutable migrated_boundaries : int;
   (* adversarial link layer (None = direct drain, the default) *)
   mutable link : 'q Link.t option;
   mutable link_round : int;
@@ -115,8 +113,6 @@ let create ?(rebalance_every = 0) ?(imbalance = 2.0) ~shards:k net =
       rebalance_every;
       imbalance;
       rounds = 0;
-      rebalances = 0;
-      migrated_boundaries = 0;
       link = None;
       link_round = 0;
       ghost_woke = false;
@@ -203,13 +199,7 @@ let rebalance t =
       done;
       nb.(s) <- !v
     done;
-    let moved = ref 0 in
-    for s = 1 to t.k - 1 do
-      if nb.(s) <> t.boundaries.(s) then incr moved
-    done;
-    if !moved > 0 then begin
-      t.rebalances <- t.rebalances + 1;
-      t.migrated_boundaries <- t.migrated_boundaries + !moved;
+    if nb <> t.boundaries then begin
       (* the new layout drops in-flight link traffic, and a dropped
          update is a lost wake-up: readers that stepped against the
          stale ghost went clean, and its delivery would have re-marked
@@ -408,8 +398,9 @@ let step ?pool ?(dirty = false) t =
     else begin
       (match par with
       | Some pool ->
-          (* concurrent re-marks would race on the dirty worklist *)
-          Network.invalidate_worklist net;
+          (* concurrent re-marks would race on the dirty worklist, and
+             epoch bumps on the write log *)
+          Network.prepare_parallel_commit net;
           Domain_pool.run pool ~n:k (fun _slot lo hi ->
               for s = lo to hi - 1 do
                 ignore (Shard.commit_quiet shards.(s) ~net)
@@ -470,6 +461,7 @@ type 'q checkpoint = {
   sc_net : 'q Network.checkpoint;
   sc_boundaries : int array;
   sc_shards : 'q Shard.snap array;
+  sc_rounds : int;
   sc_link_round : int;
 }
 
@@ -478,43 +470,39 @@ let checkpoint t =
     sc_net = Network.checkpoint t.net;
     sc_boundaries = Array.copy t.boundaries;
     sc_shards = Array.map Shard.snapshot t.shards;
+    sc_rounds = t.rounds;
     sc_link_round = t.link_round;
   }
 
+(* A restore is a pure function of the checkpoint: the partition, the
+   ghosts, the stepped counts and round count the rebalance policy
+   reads, and the link clock all come back as they were, whichever
+   partition the run had moved to since. *)
 let restore t cp =
   Network.restore t.net cp.sc_net;
-  if cp.sc_boundaries = t.boundaries then
-    Array.iteri (fun i sh -> Shard.restore_snap sh cp.sc_shards.(i)) t.shards
-  else
-    (* the partition moved since the checkpoint (rebalance): rebuild the
-       layout from the restored flat array, which the per-shard
-       snapshots are consistent with by construction.  No wake-up pass
-       here, unlike [rebalance]: the traffic this drops belongs to the
-       abandoned timeline, whose readers are not the restored ones *)
-    layout t (Array.copy cp.sc_boundaries);
+  (* the partition moved since the checkpoint (rebalance): lay out the
+     checkpoint's, whose shards the snapshots fit *)
+  if cp.sc_boundaries <> t.boundaries then layout t (Array.copy cp.sc_boundaries);
+  Array.iteri (fun i sh -> Shard.restore_snap sh cp.sc_shards.(i)) t.shards;
+  t.rounds <- cp.sc_rounds;
   (* rewind the fault clock and clear the channels: replaying the same
      rounds re-derives the same link faults (rollback stability) *)
   t.link_round <- cp.sc_link_round;
   Option.iter Link.reset t.link;
+  (* the checkpoint's ghosts can be stale by updates that were in
+     flight when it was taken and that the reset just dropped: as in
+     [resync], refresh them and wake their readers *)
+  if Option.is_some t.link then
+    Array.iter (fun sh -> Shard.resync sh ~net:t.net ~mark:true) t.shards;
   t.seen_epoch <- Network.state_epoch t.net
 
 (* --- accessors --------------------------------------------------------- *)
 
-let network t = t.net
-let shard_count t = t.k
-let rounds t = t.rounds
-let rebalances t = t.rebalances
-let migrated_boundaries t = t.migrated_boundaries
 let messages t = t.messages
-let read_ns t = t.read_ns
-let commit_ns t = t.commit_ns
-let exchange_ns t = t.exchange_ns
 
 let exchange_share t =
   let total = t.read_ns + t.commit_ns + t.exchange_ns in
   if total = 0 then 0. else float_of_int t.exchange_ns /. float_of_int total
-
-let boundaries t = Array.copy t.boundaries
 
 type shard_stats = {
   ss_id : int;

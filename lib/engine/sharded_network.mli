@@ -79,42 +79,27 @@ type 'q checkpoint
 
 val checkpoint : 'q t -> 'q checkpoint
 (** Checkpoint the underlying network (states, counters, graph liveness)
-    plus the partition and per-shard buffers. *)
+    plus the partition, per-shard ghosts and stepped counts, the round
+    count and the link round. *)
 
 val restore : 'q t -> 'q checkpoint -> unit
-(** Restore network and shards.  If the partition moved since the
-    checkpoint (a rebalance), the layout is rebuilt from the restored
-    flat state, so resumed runs stay bit-identical either way. *)
+(** Restore network and shards, a pure function of the checkpoint.  If
+    the partition moved since the checkpoint (a rebalance), the
+    checkpoint's layout is rebuilt first; either way the checkpoint's
+    ghosts are put back.  With a link runtime, the channels are then
+    reset and every ghost that differs from the restored authority is
+    refreshed and wakes its readers, as {!resync} does: its update may
+    have been in flight at checkpoint time. *)
 
 (** {1 Telemetry} *)
-
-val network : 'q t -> 'q Network.t
-val shard_count : 'q t -> int
-
-val rounds : 'q t -> int
-(** Rounds executed through {!step}. *)
-
-val rebalances : 'q t -> int
-(** Partition recuts that actually moved a boundary. *)
-
-val migrated_boundaries : 'q t -> int
-(** Cumulative count of boundaries moved by recuts. *)
 
 val messages : 'q t -> int
 (** Cumulative cross-shard messages exchanged. *)
 
-val read_ns : 'q t -> int
-val commit_ns : 'q t -> int
-val exchange_ns : 'q t -> int
-(** Cumulative wall time of the three phases (always measured; the
-    recorder additionally gets per-round [exchange_ns] when attached). *)
-
 val exchange_share : 'q t -> float
-(** [exchange_ns / (read_ns + commit_ns + exchange_ns)], 0 before the
-    first round — the communication overhead of the partition. *)
-
-val boundaries : 'q t -> int array
-(** Current partition boundaries (K+1 entries, copy). *)
+(** The exchange phase's share of the read, commit and exchange phases'
+    cumulative wall time, 0 before the first round — the communication
+    overhead of the partition. *)
 
 type shard_stats = {
   ss_id : int;

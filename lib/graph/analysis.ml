@@ -26,13 +26,6 @@ type adjacency = {
 let live a v =
   v >= 0 && v < Bytes.length a.a_live && Bytes.get a.a_live v <> '\000'
 
-let all_set (bits : bool array) =
-  let i = ref 0 in
-  while !i < Array.length bits && bits.(!i) do
-    incr i
-  done;
-  !i = Array.length bits
-
 let freeze g =
   let c = Graph.csr g in
   let n = Graph.original_size g in
@@ -42,7 +35,7 @@ let freeze g =
     if node_alive.(v) then Bytes.set a_live v '\001'
   done;
   let a_nodes = Graph.node_count g in
-  if all_set c.csr_edge_alive then begin
+  if Graph.cleared_edges g = 0 then begin
     (* Every edge bit is set, so a slot is live iff its target is: the
        graph's own rows, which never change after [Graph.create], hold
        the live adjacency plus the slots of the dead nodes listed in
@@ -163,10 +156,11 @@ let reach adj s =
   q.(0) <- s;
   (mark, bfs adj q ~head:0 ~tail:1 mark ~unset:(-1) ~step:0)
 
-let frozen_labels adj =
+let relabel adj ~labels:label ~queue:q =
   let n = Bytes.length adj.a_live in
-  let label = Array.make n (-1) in
-  let q = Array.make n 0 in
+  if Array.length label < n || Array.length q < n then
+    invalid_arg "Analysis.relabel: arrays shorter than the graph";
+  Array.fill label 0 n (-1);
   mark_dead adj label max_int;
   let k = ref 0 and tail = ref 0 in
   (* scanning ids upwards starts each component at its smallest member;
@@ -180,7 +174,13 @@ let frozen_labels adj =
     end
   done;
   mark_dead adj label (-1);
-  (label, !k)
+  !k
+
+let frozen_labels adj =
+  let n = Bytes.length adj.a_live in
+  let labels = Array.make n (-1) in
+  let k = relabel adj ~labels ~queue:(Array.make n 0) in
+  (labels, k)
 
 let component_labels g = frozen_labels (freeze g)
 
@@ -316,6 +316,9 @@ let scratch g =
     s_top = Array.make 3 0;
     s_settled = 0;
   }
+
+let refresh_scratch sc g v =
+  sc.s_dist.(v) <- (if Graph.is_live_node g v then max_int else settled)
 
 let last_settled sc = sc.s_settled
 
@@ -723,23 +726,48 @@ let guided_search lm g sc ~sources ~budget t =
    walk over [Graph.incident] lists builds.  The results are marks: per
    edge [tree] or [bridge] (a bridge is a tree edge), per node whether
    it is a cut vertex.  Low-links fold into the parent when a frame
-   pops. *)
+   pops.  All of it lives in a [dfs] record, which a caller that walks
+   one graph again and again (a serve view) keeps: a walk then resets
+   the discovery times and marks, and allocates nothing. *)
 let tree = '\001'
 let bridge = '\002'
 
-type lowlink = { edge_mark : Bytes.t; cut : Bytes.t }
+type dfs = {
+  disc : int array;
+  low : int array;
+  f_node : int array;
+  f_edge : int array;
+  f_slot : int array;
+  edge_mark : Bytes.t;
+  cut : Bytes.t;
+}
 
-let lowlink g =
+let dfs g =
+  let n = Graph.original_size g in
+  let m = Array.length (Graph.csr g).csr_edge_alive in
+  {
+    disc = Array.make n (-1);
+    low = Array.make n 0;
+    f_node = Array.make n 0;
+    f_edge = Array.make n 0;
+    f_slot = Array.make n 0;
+    edge_mark = Bytes.make m '\000';
+    cut = Bytes.make n '\000';
+  }
+
+let lowlink_in bufs g =
   let c = Graph.csr g in
   let off = c.csr_off and tgt = c.csr_tgt and eid = c.csr_eid in
   let node_alive = c.csr_node_alive and edge_alive = c.csr_edge_alive in
   let n = Graph.original_size g in
-  let disc = Array.make n (-1) and low = Array.make n 0 in
-  let f_node = Array.make n 0
-  and f_edge = Array.make n 0
-  and f_slot = Array.make n 0 in
-  let edge_mark = Bytes.make (Array.length edge_alive) '\000' in
-  let cut = Bytes.make n '\000' in
+  if
+    Array.length bufs.disc <> n
+    || Bytes.length bufs.edge_mark <> Array.length edge_alive
+  then invalid_arg "Analysis: dfs arrays of another graph";
+  let { disc; low; f_node; f_edge; f_slot; edge_mark; cut } = bufs in
+  Array.fill disc 0 n (-1);
+  Bytes.fill edge_mark 0 (Bytes.length edge_mark) '\000';
+  Bytes.fill cut 0 n '\000';
   let counter = ref 0 in
   for root = 0 to n - 1 do
     if node_alive.(root) && disc.(root) < 0 then begin
@@ -783,11 +811,15 @@ let lowlink g =
       if !root_children >= 2 then Bytes.set cut root '\001'
     end
   done;
-  { edge_mark; cut }
+  bufs
 
-let bridges g =
-  let { edge_mark; _ } = lowlink g in
+let lowlink g = lowlink_in (dfs g) g
+
+let bridges_in bufs g =
+  let { edge_mark; _ } = lowlink_in bufs g in
   ascending (Bytes.length edge_mark) (fun e -> Bytes.get edge_mark e = bridge)
+
+let bridges g = bridges_in (dfs g) g
 
 let articulation_points g =
   let { cut; _ } = lowlink g in

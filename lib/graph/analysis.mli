@@ -60,6 +60,18 @@ val is_bipartite : Graph.t -> bool
 val bridges : Graph.t -> int list
 (** Ids of bridge edges of the live graph (Tarjan low-link), sorted. *)
 
+type dfs
+(** The low-link walk's working arrays for one graph's rows: five n-cell
+    int arrays and an edge and a node mark per entity. *)
+
+val dfs : Graph.t -> dfs
+
+val bridges_in : dfs -> Graph.t -> int list
+(** {!bridges} through caller-kept working arrays, built by {!dfs} from
+    [g] or a copy of it: allocates only the returned list and a
+    constant.
+    @raise Invalid_argument if the arrays do not fit [g]. *)
+
 val articulation_points : Graph.t -> int list
 (** Cut vertices of the live graph, sorted. *)
 
@@ -79,15 +91,19 @@ type adjacency
     through. *)
 
 val freeze : Graph.t -> adjacency
-(** O(n + m) when an edge bit is off ({!Graph.remove_edge}): the live
-    slots are copied out, so a dead node's row is empty.  Otherwise the
-    adjacency shares the graph's own row offsets and targets, which
+(** O(n + m) when an edge bit is off ({!Graph.cleared_edges} > 0): the
+    live slots are copied out, so a dead node's row is empty.  Otherwise
+    the adjacency shares the graph's own row offsets and targets, which
     never change after {!Graph.create}, and costs an n-byte liveness
     copy and an array of the dead ids, whose slots those rows still
     list: the kernels above mark them settled before they search. *)
 
-val frozen_labels : adjacency -> int array * int
-(** {!component_labels} of the frozen graph. *)
+val relabel : adjacency -> labels:int array -> queue:int array -> int
+(** {!component_labels} of the frozen graph, into caller-kept arrays of
+    at least n cells:
+    [labels] receives the labels, [queue] is working space; returns the
+    component count.  Allocates nothing.
+    @raise Invalid_argument if an array is shorter than n. *)
 
 type scratch
 (** Working arrays for {!target_distances} and {!guided_distances}: n
@@ -99,6 +115,12 @@ type scratch
 val scratch : Graph.t -> scratch
 (** An idle scratch for the graph's liveness, which must not change
     while the scratch is in use (a serve view's graph copy). *)
+
+val refresh_scratch : scratch -> Graph.t -> int -> unit
+(** [refresh_scratch sc g v] re-marks node [v]'s sentinel from [g]'s
+    liveness, after [v]'s bit flipped in [g] (a {!Graph.refresh}ed
+    copy): the scratch is then one for [g]'s new liveness once every
+    flipped node is re-marked.  The scratch must be idle. *)
 
 val target_distances :
   adjacency -> scratch -> sources:int list -> targets:int list -> int list

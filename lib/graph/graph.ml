@@ -7,7 +7,15 @@ type edge = { id : int; u : int; v : int }
    faults only flip liveness bits, and every iteration filters on them.
    [deg] caches the live degree (incident edges with the edge and both
    endpoints alive) and is maintained incrementally by the fault
-   primitives. *)
+   primitives, as is [cleared], the number of edge bits off.
+
+   Every liveness flip is also logged in [flips], a ring keyed by the
+   version the flip moved the graph to: a node [v] as [v], an edge [e]
+   as [lnot e].  [flips_from] is the oldest version the log reaches
+   back to: every version in [(flips_from, version]] has its entry, as
+   long as it lies within the ring's length of [version].  A restore
+   moves [flips_from] up to the new version, since it may flip any
+   bit. *)
 type t = {
   n : int;
   edges_arr : edge array;
@@ -20,6 +28,9 @@ type t = {
   mutable live_nodes : int;
   mutable live_edges : int;
   mutable version : int; (* bumped on every effective deletion *)
+  mutable cleared : int; (* edge bits off *)
+  mutable flips : int array; (* the flip log; [||] until the first flip *)
+  mutable flips_from : int;
   mutable live_index : int array;
       (* Fenwick (binary indexed) tree over node liveness, 1-indexed with
          n + 1 cells, backing [nth_live_node]; [||] until the first call
@@ -87,18 +98,24 @@ let create ~n ~edges =
     live_nodes = n;
     live_edges = m;
     version = 0;
+    cleared = 0;
+    flips = [||];
+    flips_from = 0;
     live_index = [||];
   }
 
-(* The liveness index is not copied: copies back snapshots
-   ([View.take]) that never ask for a node by rank, and a copy that does
-   builds its own. *)
+(* Neither the liveness index nor the flip log is copied: copies back
+   snapshots and views that never ask for a node by rank, and a copy
+   that is mutated builds its own.  A copy's log starts at its
+   version. *)
 let copy g =
   {
     g with
     node_alive = Array.copy g.node_alive;
     edge_alive = Array.copy g.edge_alive;
     deg = Array.copy g.deg;
+    flips = [||];
+    flips_from = g.version;
     live_index = [||];
   }
 
@@ -157,6 +174,39 @@ let nodes g =
   !acc
 
 let version g = g.version
+let cleared_edges g = g.cleared
+
+(* --- the flip log -------------------------------------------------------- *)
+
+(* The log's capacity follows the engine's dirty worklist ([max 64
+   (n/16)]), rounded up to a power of two so a version finds its cell
+   with a mask: a reader further behind than that many flips is told
+   that everything may have changed. *)
+let log_capacity n =
+  let c = ref 64 in
+  while !c < n / 16 do
+    c := 2 * !c
+  done;
+  !c
+
+(* Bump the version for a flip of [id] and log it. *)
+let flip g id =
+  g.version <- g.version + 1;
+  if Array.length g.flips = 0 then g.flips <- Array.make (log_capacity g.n) 0;
+  g.flips.(g.version land (Array.length g.flips - 1)) <- id
+
+let iter_flips g ~since ~node ~edge =
+  since = g.version
+  || since >= g.flips_from
+     && since < g.version
+     && g.version - since <= Array.length g.flips
+     &&
+     let mask = Array.length g.flips - 1 in
+     for e = since + 1 to g.version do
+       let id = g.flips.(e land mask) in
+       if id >= 0 then node id else edge (lnot id)
+     done;
+     true
 
 (* --- liveness rank index ------------------------------------------------ *)
 
@@ -261,7 +311,8 @@ let remove_edge g id =
       g.deg.(e.v) <- g.deg.(e.v) - 1
     end;
     g.edge_alive.(id) <- false;
-    g.version <- g.version + 1
+    g.cleared <- g.cleared + 1;
+    flip g (lnot id)
   end
 
 let remove_edge_between g a b =
@@ -285,7 +336,7 @@ let remove_node g v =
     g.node_alive.(v) <- false;
     g.live_nodes <- g.live_nodes - 1;
     if Array.length g.live_index > 0 then index_add g.live_index v (-1);
-    g.version <- g.version + 1
+    flip g v
   end
 
 let revive_node g v =
@@ -308,40 +359,34 @@ let revive_node g v =
     g.live_edges <- g.live_edges + !back;
     g.live_nodes <- g.live_nodes + 1;
     if Array.length g.live_index > 0 then index_add g.live_index v 1;
-    g.version <- g.version + 1
+    flip g v
   end
 
-(* --- liveness snapshots ----------------------------------------------- *)
+(* --- liveness snapshots and refreshed copies ----------------------------- *)
 
-type snapshot = {
-  s_node_alive : bool array;
-  s_edge_alive : bool array;
-  s_deg : int array;
-  s_live_nodes : int;
-  s_live_edges : int;
-}
+(* A snapshot is a copy: the liveness bits, cached degrees and counts,
+   with the CSR shared. *)
+type snapshot = t
 
-let snapshot g =
-  {
-    s_node_alive = Array.copy g.node_alive;
-    s_edge_alive = Array.copy g.edge_alive;
-    s_deg = Array.copy g.deg;
-    s_live_nodes = g.live_nodes;
-    s_live_edges = g.live_edges;
-  }
+let snapshot = copy
+
+(* Everything liveness-related but the version and the caches. *)
+let blit_liveness ~src ~dst =
+  Array.blit src.node_alive 0 dst.node_alive 0 src.n;
+  Array.blit src.edge_alive 0 dst.edge_alive 0 (Array.length src.edge_alive);
+  Array.blit src.deg 0 dst.deg 0 src.n;
+  dst.live_nodes <- src.live_nodes;
+  dst.live_edges <- src.live_edges;
+  dst.cleared <- src.cleared
 
 let restore g s =
   if
-    Array.length s.s_node_alive <> g.n
-    || Array.length s.s_edge_alive <> Array.length g.edge_alive
+    Array.length s.node_alive <> g.n
+    || Array.length s.edge_alive <> Array.length g.edge_alive
   then invalid_arg "Graph.restore: snapshot from a different graph";
-  Array.blit s.s_node_alive 0 g.node_alive 0 g.n;
-  Array.blit s.s_edge_alive 0 g.edge_alive 0 (Array.length g.edge_alive);
-  Array.blit s.s_deg 0 g.deg 0 g.n;
-  g.live_nodes <- s.s_live_nodes;
-  g.live_edges <- s.s_live_edges;
+  blit_liveness ~src:s ~dst:g;
   (* every bit may have moved: drop the index, the next rank query
-     rebuilds it *)
+     rebuilds it, and cut the flip log off here *)
   g.live_index <- [||];
   (* BUMP, never assign the snapshotted counter back.  Restoring the old
      value made the counter collide: a rollback-then-diverge run could
@@ -351,7 +396,42 @@ let restore g s =
      trust stale data.  A restore is a mutation like any other — the
      counter stays strictly monotonic and every liveness configuration
      ever observable gets a globally fresh version. *)
-  g.version <- g.version + 1
+  g.version <- g.version + 1;
+  g.flips_from <- g.version
+
+(* A flipped node moves its own degree and those of its row's ends; a
+   flipped edge those of its endpoints.  Copying the source's values,
+   not applying deltas, makes repeated ids harmless. *)
+let refresh_node c g v =
+  c.node_alive.(v) <- g.node_alive.(v);
+  c.deg.(v) <- g.deg.(v);
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    let w = g.tgt.(i) in
+    c.deg.(w) <- g.deg.(w)
+  done
+
+let refresh_edge c g e =
+  let { u; v; _ } = g.edges_arr.(e) in
+  c.edge_alive.(e) <- g.edge_alive.(e);
+  c.deg.(u) <- g.deg.(u);
+  c.deg.(v) <- g.deg.(v)
+
+let refresh c ~from:g =
+  if c.off != g.off then invalid_arg "Graph.refresh: not a copy of this graph";
+  if c.version <> g.version then begin
+    if
+      not
+        (iter_flips g ~since:c.version ~node:(refresh_node c g)
+           ~edge:(refresh_edge c g))
+    then blit_liveness ~src:g ~dst:c;
+    c.live_nodes <- g.live_nodes;
+    c.live_edges <- g.live_edges;
+    c.cleared <- g.cleared;
+    c.version <- g.version;
+    (* the copy's own log cannot tell what moved *)
+    c.flips_from <- c.version;
+    c.live_index <- [||]
+  end
 
 (* --- raw CSR access (engine internals) -------------------------------- *)
 
@@ -444,10 +524,8 @@ let of_adjacency ~n ~degree ~iter =
     live_nodes = n;
     live_edges = m;
     version = 0;
+    cleared = 0;
+    flips = [||];
+    flips_from = 0;
     live_index = [||];
   }
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph n=%d m=%d@," (node_count g) (edge_count g);
-  iter_edges g (fun e -> Format.fprintf fmt "  %d -- %d@," e.u e.v);
-  Format.fprintf fmt "@]"

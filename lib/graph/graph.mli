@@ -16,7 +16,13 @@
     ([neighbours], [incident], [nodes], [edges]) are compatibility shims
     that materialise fresh lists on each call.  Live degrees are cached
     and maintained incrementally by the deletion primitives, making
-    [degree] and [max_degree] O(1) and O(n). *)
+    [degree] and [max_degree] O(1) and O(n), and so is the number of
+    cleared edge bits ({!cleared_edges}).
+
+    Every flip of a liveness bit is logged against the {!version} it
+    moved the graph to, in a ring of [max 64 (n/16)] entries rounded up
+    to a power of two.  {!iter_flips} reads it back, and {!refresh}
+    brings a copy up to date at the cost of what flipped. *)
 
 type t
 
@@ -32,7 +38,9 @@ val create : n:int -> edges:(int * int) list -> t
     bad endpoint. *)
 
 val copy : t -> t
-(** Deep copy (liveness flags included). *)
+(** Deep copy of the liveness (bits, cached degrees and counts) at the
+    same {!version}; the immutable CSR is shared.  The copy's own flip
+    log starts empty. *)
 
 val of_adjacency : n:int -> degree:(int -> int) -> iter:(int -> (int -> unit) -> unit) -> t
 (** Streamed construction: build the CSR directly from a degree oracle
@@ -86,6 +94,19 @@ val version : t -> int
     dirty-set reconciler, the incremental digest cache, the serve query
     cache) rely on; equal version + equal {!Symnet_engine} state epoch
     means a cached answer is still exact. *)
+
+val cleared_edges : t -> int
+(** Edge bits cleared by {!remove_edge}, counted as they flip: O(1).
+    Zero iff every edge bit is set, whatever the nodes. *)
+
+val iter_flips :
+  t -> since:int -> node:(int -> unit) -> edge:(int -> unit) -> bool
+(** [iter_flips g ~since ~node ~edge] calls [node v] for each node and
+    [edge e] for each edge whose liveness bit flipped at a version in
+    [(since, version g]], oldest first (an id may repeat), and returns
+    [true]; or returns [false], calling nothing, when the log does not
+    reach back to [since]: a {!restore} since then, more flips than the
+    log holds, or a [since] this graph never had. *)
 
 val nodes : t -> int list
 (** Live nodes, ascending. *)
@@ -143,12 +164,13 @@ val revive_node : t -> int -> unit
 
 (** {1 Checkpointing} *)
 
-type snapshot
-(** Liveness checkpoint: node/edge liveness bits, cached degrees and
-    live counts.  The immutable CSR arrays are shared, so a snapshot is
-    O(n + m) small and cheap. *)
+type snapshot = t
+(** Liveness checkpoint: a {!copy}, so node/edge liveness bits, cached
+    degrees and live counts, with the immutable CSR arrays shared; it is
+    brought up to date by {!refresh}. *)
 
 val snapshot : t -> snapshot
+(** {!copy}. *)
 
 val restore : t -> snapshot -> unit
 (** Rewind the graph's liveness to a snapshot taken from the same graph.
@@ -156,8 +178,17 @@ val restore : t -> snapshot -> unit
     must not re-reach a previously seen version with different liveness,
     or version-keyed caches would serve stale data (the rewind-collision
     bug).  Clients keying on the version therefore see every restore as
-    a fresh mutation and re-sync.
+    a fresh mutation and re-sync; the flip log restarts at the new
+    version.
     @raise Invalid_argument if the snapshot's dimensions don't match. *)
+
+val refresh : t -> from:t -> unit
+(** [refresh c ~from:g] brings [c] — a {!copy} of [g] left unmutated
+    since, or last refreshed from [g] — to [g]'s liveness and version:
+    O(1) if the version did not move, otherwise O(flipped nodes' rows +
+    flipped edges) from [g]'s flip log, or an O(n + m) blit when the
+    log does not reach back to [c]'s version.  Allocates a constant.
+    @raise Invalid_argument if [c] does not share [g]'s rows. *)
 
 (** {1 Raw CSR access}
 
@@ -180,7 +211,3 @@ val csr : t -> csr
     (for [i] in [csr_off.(v) .. csr_off.(v+1) - 1]) is live iff
     [csr_edge_alive.(csr_eid.(i)) && csr_node_alive.(csr_tgt.(i))] —
     the same filter {!iter_neighbours} applies. *)
-
-(** {1 Printing} *)
-
-val pp : Format.formatter -> t -> unit

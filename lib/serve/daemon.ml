@@ -57,7 +57,7 @@ type 'q t = {
   d_recorder : Obs.Recorder.t;
   d_mk_session : unit -> 'q Runner.session;
   mutable d_session : 'q Runner.session;
-  mutable d_view : 'q View.t option;
+  mutable d_view : 'q View.t option;  (* refreshed in place when stale *)
   d_landmarks : Analysis.landmarks Lazy.t;
       (* built by the first distance query; the graph's structure never
          changes, so every view shares it *)
@@ -73,7 +73,7 @@ type 'q t = {
   mutable d_requests : int;
   mutable d_ticks : int;
   (* supervision: a periodic network checkpoint the supervisor loop can
-     restart the serve core from after a crash *)
+     restart the serve core from after a crash, refreshed in place *)
   mutable d_checkpoint : 'q Network.checkpoint option;
   mutable d_restarts : int;
   d_read_buf : Bytes.t;
@@ -143,18 +143,25 @@ let landmarks d =
 
 (* --- query evaluation -------------------------------------------------- *)
 
+(* The daemon's one view, refreshed in place when stale: it is read
+   only while fresh, so nothing holds a stale one. *)
 let view d =
-  let fresh = match d.d_view with Some v -> View.fresh v d.d_net | None -> false in
-  if fresh then Option.get d.d_view
-  else begin
-    let sp = Obs.Recorder.spans d.d_recorder in
-    let t0 = Obs.Span.now sp in
-    let v = View.take ~landmarks:d.d_landmarks ~round:d.d_rounds_run d.d_net in
-    Obs.Span.record sp Obs.Span.Serve_snapshot ~shard:0 ~round:d.d_rounds_run
-      ~t0;
-    d.d_view <- Some v;
-    v
-  end
+  match d.d_view with
+  | Some v when View.fresh v d.d_net -> v
+  | cur ->
+      let sp = Obs.Recorder.spans d.d_recorder in
+      let t0 = Obs.Span.now sp in
+      let round = d.d_rounds_run in
+      let v =
+        match cur with
+        | Some v ->
+            View.refresh ~round v d.d_net;
+            v
+        | None -> View.take ~landmarks:d.d_landmarks ~round d.d_net
+      in
+      Obs.Span.record sp Obs.Span.Serve_snapshot ~shard:0 ~round ~t0;
+      d.d_view <- Some v;
+      v
 
 let ok_of_view v data =
   Protocol.ok ~version:(View.version v) ~epoch:(View.epoch v)
@@ -424,6 +431,16 @@ let sweep_deadlines d =
       then evict d c ~reason:"deadline")
     d.d_clients
 
+(* The restart checkpoint, refreshed in place from the write and flip
+   logs once it exists. *)
+let save_checkpoint d =
+  let sp = Obs.Recorder.spans d.d_recorder in
+  let t0 = Obs.Span.now sp in
+  (match d.d_checkpoint with
+  | Some cp -> Network.refresh_checkpoint d.d_net cp
+  | None -> d.d_checkpoint <- Some (Network.checkpoint d.d_net));
+  Obs.Span.record sp Obs.Span.Checkpoint ~shard:0 ~round:d.d_rounds_run ~t0
+
 let step_rounds d =
   match Runner.session_result d.d_session with
   | Some _ -> ()
@@ -438,7 +455,7 @@ let step_rounds d =
               d.d_rounds_run <- d.d_rounds_run + 1;
               (* the session just finished: a quiesced state is the
                  cheapest-to-lose restart point there is *)
-              d.d_checkpoint <- Some (Network.checkpoint d.d_net)
+              save_checkpoint d
         end
       in
       go d.d_rounds_per_tick
@@ -450,8 +467,7 @@ let checkpoint_every_ticks = 256
 let tick ?(timeout = 0.05) d =
   let timeout = if active d then 0. else timeout in
   d.d_ticks <- d.d_ticks + 1;
-  if d.d_ticks mod checkpoint_every_ticks = 0 then
-    d.d_checkpoint <- Some (Network.checkpoint d.d_net);
+  if d.d_ticks mod checkpoint_every_ticks = 0 then save_checkpoint d;
   let fds = d.d_listen :: List.map (fun c -> c.c_fd) d.d_clients in
   let wfds =
     List.filter_map

@@ -18,6 +18,14 @@
     still fresh, and otherwise the (version, epoch, rounds run) that a
     snapshot taken then would carry.
 
+    The daemon keeps one {!View} and one restart checkpoint and brings
+    both up to date in place ({!View.refresh},
+    {!Symnet_engine.Network.refresh_checkpoint}) from the network's
+    state write log and the graph's flip log, so a mutation and the
+    rounds it wakes cost what they changed, not a copy of the network.
+    The view is refreshed when a query finds it stale, the checkpoint
+    when a session quiesces and every 256 ticks.
+
     Distance queries are answered by landmark-guided searches
     ({!Symnet_graph.Analysis.guided_distances}).  The daemon builds the
     landmark table on the first distance query, from the resident
@@ -51,7 +59,8 @@ val create :
     [node_state] queries.  [rounds_per_tick] (default 1) rounds are
     stepped per loop iteration.  A [recorder] with live spans gets
     [Serve_snapshot]/[Serve_request] phases (plus the session's own
-    round phases) for Chrome traces.
+    round phases) for Chrome traces, and its restart checkpoints as
+    [Checkpoint] spans.
 
     Resilience: client sockets are non-blocking, frames are reassembled
     incrementally, and responses go through a bounded per-connection

@@ -18,7 +18,15 @@
     ({!Symnet_graph.Analysis.guided_distances}) over the graph copy
     itself and freeze the adjacency only when they fall back to a
     breadth-first search.  The landmark table depends on the graph's
-    structure alone, so views of one network can share it. *)
+    structure alone, so views of one network can share it.
+
+    A view can also be brought up to date in place ({!refresh}), at the
+    cost of what changed: the states the network's write log names, the
+    liveness its graph's flip log names.  If only states moved, every
+    derived analysis is kept; if liveness moved, the scratch is
+    re-marked at the flipped nodes and the adjacency, labels and bridges
+    are recomputed on next use into the view's own arrays.  {!take} is
+    an allocation followed by a full refresh. *)
 
 type 'q t
 
@@ -32,6 +40,16 @@ val take :
     daemon's event loop guarantees that.  [landmarks] (forced by the
     first distance query) must be built from the network's graph or a
     copy of it; without it the view builds its own on first use. *)
+
+val refresh : round:int -> 'q t -> 'q Symnet_engine.Network.t -> unit
+(** Bring a view of this network up to date in place: afterwards it
+    answers every query exactly as a {!take} at [round] would.  O(1)
+    when nothing moved; otherwise O(writes + flipped rows) from the
+    logs, or O(n + m) when they do not reach back to the view's stamp;
+    a constant number of small allocations.  Must be called between
+    rounds.  Unlike [take], it breaks isolation: whoever holds the view
+    sees it change (the daemon reads its one view only while it is
+    {!fresh}). *)
 
 val fresh : 'q t -> 'q Symnet_engine.Network.t -> bool
 (** Whether the view still matches the network's (version, epoch). *)

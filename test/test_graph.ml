@@ -201,6 +201,70 @@ let prop_bridges_sound =
           if List.mem e.id bridges then disconnects else not disconnects)
         (Graph.edges g))
 
+(* The liveness a query can observe, version included or not. *)
+let liveness ?(version = true) g =
+  let n = Graph.original_size g in
+  ( List.init n (fun v -> (Graph.is_live_node g v, Graph.degree g v)),
+    Graph.edges g,
+    (Graph.node_count g, Graph.edge_count g, Graph.cleared_edges g),
+    if version then Graph.version g else 0 )
+
+(* Random interleavings of node and edge kills, revivals, snapshot +
+   restore, copies, and bursts of flips longer than the flip log: the
+   cleared-edge count must equal a scan of the edge bits, a copy
+   refreshed from the graph (by its flip log, or by a blit when the log
+   does not reach back) must equal the graph, and a snapshot refreshed
+   from it must restore to the graph's liveness. *)
+let prop_cleared_count_and_refresh =
+  QCheck.Test.make ~name:"cleared edge count and refreshed copies = scan"
+    ~count:200
+    QCheck.(
+      triple (int_range 2 50) (int_range 0 40)
+        (list_of_size Gen.(0 -- 50) (pair (int_range 0 8) small_nat)))
+    (fun (n, extra, ops) ->
+      let g = ref (Gen.random_connected (Prng.create ~seed:(n + extra)) ~n ~extra_edges:extra) in
+      let m = Graph.edge_count !g in
+      let copy = ref (Graph.copy !g) and snap = ref None in
+      let ok = ref true in
+      let check () =
+        let scan = List.length (List.filter (fun e -> not (Graph.is_live_edge !g e)) (List.init m Fun.id)) in
+        Graph.refresh !copy ~from:!g;
+        ok := !ok && Graph.cleared_edges !g = scan && liveness !copy = liveness !g
+      in
+      List.iter
+        (fun (op, x) ->
+          match op with
+          | 0 -> Graph.remove_node !g (x mod n)
+          | 1 -> Graph.revive_node !g (x mod n)
+          | 2 -> if m > 0 then Graph.remove_edge !g (x mod m)
+          | 3 -> snap := Some (Graph.snapshot !g)
+          | 4 -> Option.iter (Graph.restore !g) !snap
+          | 5 ->
+              g := Graph.copy !g;
+              copy := Graph.copy !g;
+              snap := None
+          | 6 -> (
+              match !snap with
+              | Some s ->
+                  Graph.refresh s ~from:!g;
+                  let probe = Graph.copy !g in
+                  Graph.restore probe s;
+                  ok := !ok && liveness ~version:false probe = liveness ~version:false !g
+              | None -> ())
+          | 7 ->
+              (* 70 flips: past the 64-entry log of a graph this small *)
+              let v = x mod n in
+              let live = Graph.is_live_node !g v in
+              for _ = 1 to 35 do
+                Graph.remove_node !g v;
+                Graph.revive_node !g v
+              done;
+              if not live then Graph.remove_node !g v
+          | _ -> check ())
+        ops;
+      check ();
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -229,4 +293,5 @@ let suite =
     Alcotest.test_case "analyses respect faults" `Quick test_analyses_respect_faults;
     QCheck_alcotest.to_alcotest prop_random_connected_always_connected;
     QCheck_alcotest.to_alcotest prop_bridges_sound;
+    QCheck_alcotest.to_alcotest prop_cleared_count_and_refresh;
   ]

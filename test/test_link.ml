@@ -92,49 +92,82 @@ let prop_reliable_drop_matches_flat =
           o.Runner.quiesced && Network.states net = flat)
         [ (1, 1); (3, 1); (3, 2) ])
 
-(* Rollback stability: the link round counter is part of the sharded
-   checkpoint, so replaying rounds after a restore re-derives the same
-   fault draws and lands on the same states. *)
+(* Rollback purity: a restore is a pure function of its checkpoint, so
+   two replays of [steps] rounds from one checkpoint agree whatever the
+   run did in between.  The checkpoint is taken after [before] rounds
+   and the run goes [steps] ahead first, so the restore is a genuine
+   rewind; the link round counter is rewound with it, so both replays
+   draw the same faults.  Returns the two replays' round results and
+   final states. *)
+let replays ~seed ~link_seed ~before ~steps ~dirty ~rebalance_every ~spec
+    (n, extra) =
+  let g = graph_of (n, extra) in
+  let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
+  Network.set_par_cutoff net 0;
+  let sh = Sharded.create ~rebalance_every ~imbalance:1.01 ~shards:3 net in
+  Sharded.configure_link sh ~seed:link_seed spec;
+  for _ = 1 to before do
+    ignore (Sharded.step ~dirty sh)
+  done;
+  let cp = Sharded.checkpoint sh in
+  let steps () =
+    let cont = List.init steps (fun _ -> Sharded.step ~dirty sh) in
+    (cont, Network.states net)
+  in
+  ignore (steps ());
+  Sharded.restore sh cp;
+  let replay1 = steps () in
+  Sharded.restore sh cp;
+  (replay1, steps ())
+
+let link_spec ~drop ~delay =
+  {
+    Link.faults =
+      [
+        { Link.kind = Link.Drop; p = drop; target = Link.All_channels };
+        { Link.kind = Link.Delay { rounds = 2 }; p = delay; target = Link.All_channels };
+      ];
+    reliable = true;
+    cap = 8;
+    backoff = 1;
+  }
+
+(* Two cases per graph: the plain one (no recuts, naive rounds, 4
+   rounds before the checkpoint and 6 after), and one that may recut
+   every [rebalance_every] rounds under heavier losses, stepping dirty.
+   There a run ahead usually leaves a partition other than the
+   checkpoint's, so one restore lays the checkpoint's out again and the
+   other does not; the checkpoint's ghosts can be stale by in-flight
+   updates, which the restore must refresh and whose readers it must
+   wake on both paths alike. *)
 let prop_checkpoint_restore_deterministic =
   QCheck.Test.make ~count:10 ~name:"link faults: checkpoint/restore replays identically"
-    graph_arb (fun ((n, _) as gspec) ->
-      let g = graph_of gspec in
-      let net = Network.init ~rng:(Prng.create ~seed:11) g (sp_automaton n) in
-      Network.set_par_cutoff net 0;
-      let sh = Sharded.create ~shards:3 net in
-      Sharded.configure_link sh ~seed:0x11ca
-        {
-          Link.faults =
-            [
-              { Link.kind = Link.Drop; p = 0.2; target = Link.All_channels };
-              {
-                Link.kind = Link.Delay { rounds = 2 };
-                p = 0.15;
-                target = Link.All_channels;
-              };
-            ];
-          reliable = true;
-          cap = 8;
-          backoff = 1;
-        };
-      for _ = 1 to 4 do
-        ignore (Sharded.step sh)
-      done;
-      let cp = Sharded.checkpoint sh in
-      let steps_after () =
-        let cont = List.init 6 (fun _ -> Sharded.step sh) in
-        (cont, Network.states net)
+    QCheck.(triple graph_arb (int_range 1 1000) (int_range 1 3))
+    (fun (gspec, seed, rebalance_every) ->
+      let r1, r2 =
+        replays ~seed:11 ~link_seed:0x11ca ~before:4 ~steps:6 ~dirty:false
+          ~rebalance_every:0 ~spec:(link_spec ~drop:0.2 ~delay:0.15) gspec
       in
-      (* Run ahead (so the restore is a genuine rewind), then compare
-         two independent replays from the same checkpoint: the link
-         round counter is rewound with the restore, so both replays
-         draw the same faults and land on the same states. *)
-      ignore (steps_after ());
-      Sharded.restore sh cp;
-      let replay1 = steps_after () in
-      Sharded.restore sh cp;
-      let replay2 = steps_after () in
-      replay1 = replay2)
+      let d1, d2 =
+        replays ~seed ~link_seed:seed ~before:3 ~steps:8 ~dirty:true
+          ~rebalance_every ~spec:(link_spec ~drop:0.3 ~delay:0.2) gspec
+      in
+      r1 = r2 && d1 = d2)
+
+(* The pinned repro: 40-node random graphs recut every round.  Before
+   the restore put back the checkpoint's ghosts and stepped counts on
+   both paths and woke the stale ghosts' readers, seeds 62, 71 and 161
+   of 1-200 replayed to different states. *)
+let test_linked_rollback_is_pure () =
+  List.iter
+    (fun seed ->
+      let a, b =
+        replays ~seed ~link_seed:seed ~before:3 ~steps:8 ~dirty:true
+          ~rebalance_every:1 ~spec:(link_spec ~drop:0.3 ~delay:0.2)
+          (40, seed mod 9)
+      in
+      Alcotest.(check bool) (Printf.sprintf "seed %d replays agree" seed) true (a = b))
+    [ 62; 71; 161 ]
 
 (* --- resync drops in-flight traffic ----------------------------------- *)
 
@@ -444,6 +477,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_link_trace_bytes_across_domains;
     QCheck_alcotest.to_alcotest prop_reliable_drop_matches_flat;
     QCheck_alcotest.to_alcotest prop_checkpoint_restore_deterministic;
+    Alcotest.test_case "linked rollback is pure" `Quick
+      test_linked_rollback_is_pure;
     QCheck_alcotest.to_alcotest prop_own_state_writes_reach_fixed_point;
     Alcotest.test_case "resync wakes stale-ghost readers" `Quick
       test_resync_wakes_stale_ghost_readers;

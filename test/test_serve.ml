@@ -241,6 +241,157 @@ let test_views_share_landmarks () =
     (Invalid_argument "Analysis: landmarks built from another graph") (fun () ->
       ignore (View.distances v ~sources ~targets))
 
+(* --- views and checkpoints refreshed in place ---------------------------- *)
+
+(* Everything a view answers: its stamp, every node's state, liveness
+   and degree, every edge's liveness, the counts, the component sizes,
+   each live node's capped members, the largest degree, the bridges and
+   the distance [queries]. *)
+let view_answers ~m ~cap ~queries v =
+  let g = View.graph v in
+  let n = Graph.original_size g in
+  ( (View.version v, View.epoch v, View.round v),
+    List.init n (fun i -> (View.state v i, Graph.is_live_node g i, Graph.degree g i)),
+    List.init m (Graph.is_live_edge g),
+    (Graph.node_count g, Graph.edge_count g),
+    Array.to_list (View.component_sizes v),
+    List.filter_map
+      (fun i -> if Graph.is_live_node g i then Some (View.component_of v i ~cap) else None)
+      (List.init n Fun.id),
+    View.max_degree v,
+    View.bridges v,
+    List.map (fun (sources, targets) -> View.distances v ~sources ~targets) queries )
+
+(* The same answers from the network itself and the Queue/list
+   reference kernels. *)
+let reference_answers ~m ~cap ~queries ~round net =
+  let g = Network.graph net in
+  let n = Graph.original_size g in
+  let comps = Test_analysis.Ref.components g in
+  let comp_of i = List.find (List.mem i) comps in
+  ( (Graph.version g, Network.state_epoch net, round),
+    List.init n (fun i -> (Network.state net i, Graph.is_live_node g i, Graph.degree g i)),
+    List.init m (Graph.is_live_edge g),
+    (Graph.node_count g, Graph.edge_count g),
+    List.map List.length comps,
+    List.filter_map
+      (fun i ->
+        if Graph.is_live_node g i then
+          let c = comp_of i in
+          Some (List.length c, List.filteri (fun j _ -> j < cap) c)
+        else None)
+      (List.init n Fun.id),
+    Graph.max_degree g,
+    (Test_analysis.Ref.lowlink g).Test_analysis.Ref.bridge_ids,
+    List.map
+      (fun (sources, targets) ->
+        let d = Test_analysis.Ref.distances g ~sources in
+        List.map (fun t -> if t >= 0 && t < n then d.(t) else max_int) targets)
+      queries )
+
+(* What restoring [cp] into a twin network over a copy of [g] gives:
+   states, liveness, dirty flags and counters, then one dirty round,
+   whose frontier also shows whether the graph mutations were
+   acknowledged. *)
+let restored cp g aut =
+  let twin = Network.init ~rng:(Prng.create ~seed:0) (Graph.copy g) aut in
+  Network.restore twin cp;
+  let tg = Network.graph twin in
+  let n = Graph.original_size tg in
+  let after =
+    ( Array.copy (Network.raw_states twin),
+      List.init n (fun i -> (Graph.is_live_node tg i, Graph.degree tg i)),
+      Graph.edges tg,
+      Array.copy (Network.raw_dirty twin),
+      (Network.activations twin, Network.transitions twin) )
+  in
+  let changed = Network.sync_step_dirty twin in
+  (after, changed, Array.copy (Network.raw_states twin), Network.activations twin)
+
+(* One network driven through random steps — a node killed (marked and
+   acknowledged as the daemon does, or behind the engine's back),
+   revived or corrupted, an edge killed, 1-3 dirty rounds, a restore of
+   an early checkpoint, and bursts of state writes and liveness flips
+   longer than either log.  After each step a view and a restart
+   checkpoint refreshed in place must equal a fresh [View.take] and
+   [Network.checkpoint]: the view answer for answer, and the reference
+   kernels too; the checkpoint restore for restore. *)
+let prop_refreshed_view_and_checkpoint =
+  QCheck.Test.make ~name:"refreshed view and checkpoint = fresh ones = reference"
+    ~count:100
+    QCheck.(
+      pair
+        (quad (int_range 0 4) small_nat small_nat small_nat)
+        (list_of_size Gen.(1 -- 14) (triple (int_range 0 7) small_nat small_nat)))
+    (fun (shape, steps) ->
+      let g = Test_analysis.build shape in
+      let n = Graph.original_size g and m = Graph.edge_count g in
+      let aut = sp (max n 1) in
+      let net = Network.init ~rng:(Prng.create ~seed:1) g aut in
+      let round = ref 0 in
+      let rounds k =
+        for _ = 1 to k do
+          ignore (Network.sync_step_dirty net);
+          incr round
+        done
+      in
+      rounds 2;
+      let early = Network.checkpoint net in
+      let v = View.take ~round:!round net and cp = Network.checkpoint net in
+      let rng = Prng.create ~seed:(n + List.length steps) in
+      let id () = Prng.int rng (n + 2) - 1 in
+      let ok = ref true in
+      let check () =
+        View.refresh ~round:!round v net;
+        Network.refresh_checkpoint net cp;
+        let queries = List.init 3 (fun _ -> ([ id () ], List.init 3 (fun _ -> id ()))) in
+        let cap = 1 + Prng.int rng 4 in
+        let want = reference_answers ~m ~cap ~queries ~round:!round net in
+        ok :=
+          !ok && View.fresh v net
+          && view_answers ~m ~cap ~queries v = want
+          && view_answers ~m ~cap ~queries (View.take ~round:!round net) = want
+          && restored cp g aut = restored (Network.checkpoint net) g aut
+      in
+      check ();
+      List.iter
+        (fun (op, x, y) ->
+          (if n > 0 then
+             let u = x mod n in
+             match op with
+             | 0 ->
+                 if y mod 2 = 0 then Network.mark_dirty_around net u;
+                 Graph.remove_node g u;
+                 if y mod 2 = 0 then Network.ack_graph_mutations net
+             | 1 ->
+                 if not (Graph.is_live_node g u) then begin
+                   Graph.revive_node g u;
+                   Network.set_state net u (aut.Fssga.init g u)
+                 end
+             | 2 -> if m > 0 then Graph.remove_edge g (y mod m)
+             | 3 -> Network.set_state net u (Network.state net (y mod n))
+             | 4 | 5 -> rounds (1 + (y mod 3))
+             | 6 -> Network.restore net early
+             | _ ->
+                 (* a write and a flip at [u], then 70 writes and 70
+                    flips at [w]: past both 64-entry logs, so only a
+                    full copy finds [u]'s *)
+                 let w = (u + 1) mod n in
+                 Network.set_state net u (Network.state net (y mod n));
+                 if Graph.is_live_node g u then Graph.remove_node g u
+                 else Graph.revive_node g u;
+                 let live = Graph.is_live_node g w in
+                 for _ = 1 to 35 do
+                   Network.set_state net w (Network.state net w);
+                   Graph.remove_node g w;
+                   Network.set_state net w (Network.state net w);
+                   Graph.revive_node g w
+                 done;
+                 if not live then Graph.remove_node g w);
+          check ())
+        steps;
+      !ok)
+
 (* --- resumable sessions ------------------------------------------------ *)
 
 (* The probabilistic census draws from the network rng on every
@@ -1115,6 +1266,7 @@ let suite =
     Alcotest.test_case "views share one landmark table" `Quick
       test_views_share_landmarks;
     QCheck_alcotest.to_alcotest prop_view_components;
+    QCheck_alcotest.to_alcotest prop_refreshed_view_and_checkpoint;
     Alcotest.test_case "session ≡ run (deterministic)" `Quick
       test_session_equals_run;
     Alcotest.test_case "session ≡ run (probabilistic)" `Quick
