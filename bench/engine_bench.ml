@@ -154,13 +154,13 @@ let flood_net ~n =
 
 (* The same bar for the full synchronous-round path — read phase, commit
    phase, and (since the profiling layer landed) the disabled span/clock
-   branches inside [Network.sync_step] — and for the change-driven paths
-   on top of it: dirty flat and dirty 4-shard rounds, over both a dense
-   frontier (flag rescan) and a sparse one (worklist drain and sort;
-   the mode fails if its rounds rescanned instead), with closure-free
-   re-marking, frontier slices, outboxes and the direct exchange.  With
-   no recorder, pool or link attached, three warm rounds of each must
-   stay under the bar. *)
+   branches inside [Network.sync_step] — and for the runtime's
+   change-driven rounds: dirty flat (one-shard) and dirty 4-shard
+   rounds, over both a dense frontier (flag rescan) and a sparse one
+   (worklist drain and sort; the mode fails if its rounds rescanned
+   instead), with closure-free re-marking, frontier slices, outboxes
+   and the direct exchange.  With no recorder, pool or link attached,
+   three warm rounds of each must stay under the bar. *)
 let zero_alloc_rounds net step =
   let step = step net in
   for _ = 1 to 2 do
@@ -218,11 +218,10 @@ let linked_idle net =
   fun () -> Sharded.step ~dirty:true sh
 
 let assert_zero_alloc_sync ~n =
-  let sharded net =
-    let sh = Sharded.create ~shards:4 net in
+  let dirty ~shards net =
+    let sh = Sharded.create ~shards net in
     fun () -> Sharded.step ~dirty:true sh
   in
-  let dirty net () = Network.sync_step_dirty net in
   (* each mode runs its own rounds, so the modes may differ in state type *)
   let mode name mk ~sparse step =
     (name, sparse, fun () -> zero_alloc_rounds (mk ~n) step)
@@ -231,10 +230,10 @@ let assert_zero_alloc_sync ~n =
     [
       mode "sync_step" flood_net ~sparse:false (fun net () ->
           Network.sync_step net);
-      mode "sync_step_dirty" flood_net ~sparse:false dirty;
-      mode "sync_step_dirty (sparse)" wave_net ~sparse:true dirty;
-      mode "sharded dirty step" flood_net ~sparse:false sharded;
-      mode "sharded dirty step (sparse)" wave_net ~sparse:true sharded;
+      mode "flat dirty step" flood_net ~sparse:false (dirty ~shards:1);
+      mode "flat dirty step (sparse)" wave_net ~sparse:true (dirty ~shards:1);
+      mode "sharded dirty step" flood_net ~sparse:false (dirty ~shards:4);
+      mode "sharded dirty step (sparse)" wave_net ~sparse:true (dirty ~shards:4);
       mode "sharded resync, record no-ops" sp_grid_net ~sparse:true
         resynced_noops;
       mode "sharded linked, idle channels" sp_grid_net ~sparse:true linked_idle;
@@ -527,6 +526,31 @@ let refresh_words () =
 
 let refresh_words_bound = 256.
 
+(* Words allocated by one [Runner.start] on a converged shortest-paths
+   grid, minor and major together: the session's closures and the
+   one-shard runtime the serve daemon arms after every effective
+   mutation and supervisor restart.  A one-shard layout shares the
+   network's arrays, so the cost is a constant; a layout that builds
+   per-node arrays costs O(n) words (several per node), which fails the
+   bound at both sizes. *)
+let start_words ~side =
+  let g = Gen.grid ~rows:side ~cols:side in
+  let n = Graph.original_size g in
+  let net =
+    Network.init ~rng:(rng 1) g (A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n)
+  in
+  ignore (Runner.run ~max_rounds:(4 * side) net : Runner.outcome);
+  let calls = 8 in
+  Gc.minor ();
+  let w0 = heap_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Runner.start net))
+  done;
+  let w1 = heap_words () in
+  (n, (w1 -. w0) /. float_of_int calls)
+
+let start_words_bound = 512.
+
 (* --- parallel synchronous rounds ------------------------------------- *)
 
 type par_sample = {
@@ -540,20 +564,22 @@ type par_sample = {
   p_identical : bool; (* states + change flags match the 1-domain run *)
 }
 
-(* Drive [rounds] pool-sharded synchronous rounds at each domain count and
-   check the outcome is bit-identical to the 1-domain run: the claim of
-   [Network.sync_step_par] is semantic equivalence at every count, so the
-   bench doubles as an end-to-end check on the real workloads. *)
+(* Drive [rounds] naive synchronous rounds at each domain count, through
+   the runtime the runner picks for a pool (one shard per domain), and
+   check the outcome is bit-identical to the 1-domain run: the claim is
+   semantic equivalence at every count, so the bench doubles as an
+   end-to-end check on the real workloads. *)
 let measure_parallel ~workload ~rounds ~domain_counts mk =
   let drive domains =
     Domain_pool.with_pool ~domains (fun pool ->
         let net = mk () in
-        (* warm-up: grows per-slot scratch and the commit buffer *)
-        ignore (Network.sync_step_par ~pool net);
+        let sh = Sharded.create ~shards:domains net in
+        (* warm-up: allocates the commit buffer *)
+        ignore (Sharded.step ~pool sh);
         let changed = Array.make rounds false in
         let t0 = Unix.gettimeofday () in
         for i = 0 to rounds - 1 do
-          changed.(i) <- Network.sync_step_par ~pool net
+          changed.(i) <- Sharded.step ~pool sh
         done;
         let dt = Unix.gettimeofday () -. t0 in
         ( dt,
@@ -918,6 +944,7 @@ type results = {
   r_freeze : int * float;  (* shared-row freeze: n, words per call *)
   r_refresh : (string * float) list;
       (* view + checkpoint refresh: mutation, words *)
+  r_start : (int * float) list;  (* Runner.start: n, words per call *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -949,6 +976,7 @@ let ok r =
   && (let fn, fw = r.r_freeze in
       fw <= freeze_words_bound fn)
   && List.for_all (fun (_, w) -> w <= refresh_words_bound) r.r_refresh
+  && List.for_all (fun (_, w) -> w <= start_words_bound) r.r_start
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -1051,6 +1079,13 @@ let collect ?(smoke = false) ?domains () =
         label w refresh_words_bound
         (if w <= refresh_words_bound then "ok" else "FAIL"))
     refresh;
+  let start = List.map (fun side -> start_words ~side) [ 100; 317 ] in
+  List.iter
+    (fun (sn, w) ->
+      Printf.printf "  Runner.start, converged n=%-6d %6.0f words/call (bound %.0f): %s\n"
+        sn w start_words_bound
+        (if w <= start_words_bound then "ok" else "FAIL"))
+    start;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -1197,6 +1232,7 @@ let collect ?(smoke = false) ?domains () =
       r_landmarks = landmarks;
       r_freeze = freeze;
       r_refresh = refresh;
+      r_start = start;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -1303,6 +1339,18 @@ let doc_of r =
                    ("pass", Jsonx.Bool (w <= refresh_words_bound));
                  ])
              r.r_refresh) );
+      ( "start_alloc",
+        Jsonx.List
+          (List.map
+             (fun (sn, w) ->
+               Jsonx.Obj
+                 [
+                   ("n", Jsonx.Int sn);
+                   ("words_per_call", Jsonx.Float w);
+                   ("bound", Jsonx.Float start_words_bound);
+                   ("pass", Jsonx.Bool (w <= start_words_bound));
+                 ])
+             r.r_start) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

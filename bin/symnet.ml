@@ -1210,7 +1210,7 @@ let commands =
         const chaos_cmd $ graph_arg $ seed_arg $ chaos_arg $ trials_arg
         $ rounds_arg $ smoke_arg $ link_smoke_arg);
     cmd "profile"
-      "Profile a run: phase spans (read/merge/commit/fault/checkpoint/\
+      "Profile a run: phase spans (read/commit/exchange/fault/checkpoint/\
        recovery, per shard) to Chrome trace-event JSON, plus an optional \
        per-round timeline."
       Term.(

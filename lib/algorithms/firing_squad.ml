@@ -2,6 +2,7 @@ module View = Symnet_core.View
 module Fssga = Symnet_core.Fssga
 module Network = Symnet_engine.Network
 module Scheduler = Symnet_engine.Scheduler
+module Sharded_network = Symnet_engine.Sharded_network
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
 
@@ -219,15 +220,17 @@ let run ~rng g ~general ?(recorder = Symnet_obs.Recorder.null)
   Symnet_obs.Recorder.run_start recorder ~nodes:(Graph.node_count g)
     ~edges:(Graph.edge_count g) ~scheduler:"synchronous";
   let n = Graph.node_count g in
+  (* The automaton is deterministic, so the runtime's change-driven
+     rounds are sound and most of the quiet path is skipped each
+     round. *)
+  let sharded = Sharded_network.create ~shards:1 net in
   let rounds = ref 0 in
   let fire_round = ref None in
   let simultaneous = ref true in
   while !fire_round = None && !rounds < max_rounds do
     Symnet_obs.Recorder.round_start recorder ~round:(!rounds + 1);
-    (* The automaton is deterministic, so the change-driven scheduler is
-       sound and most of the quiet path is skipped each round. *)
     let changed =
-      Scheduler.round Scheduler.Synchronous net ~round:(!rounds + 1)
+      Scheduler.round ~sharded Scheduler.Synchronous net ~round:(!rounds + 1)
     in
     incr rounds;
     Symnet_obs.Recorder.round_end recorder ~round:!rounds ~changed;

@@ -97,12 +97,9 @@ type 'q t = {
   (* counters (all cumulative) *)
   mutable n_dropped : int;
   mutable n_duplicated : int;
-  mutable n_delayed : int;
-  mutable n_reordered : int;
   mutable n_retries : int;
   mutable n_stalls : int;
   mutable n_delivered : int;
-  mutable n_quarantined : int;
 }
 
 let create ~seed ~shards spec =
@@ -130,12 +127,9 @@ let create ~seed ~shards spec =
     cut = [];
     n_dropped = 0;
     n_duplicated = 0;
-    n_delayed = 0;
-    n_reordered = 0;
     n_retries = 0;
     n_stalls = 0;
     n_delivered = 0;
-    n_quarantined = 0;
   }
 
 let spec t = t.spec
@@ -186,7 +180,6 @@ let quarantine_stalled t =
     (Array.iter (fun c ->
          if holds_traffic c && not c.quarantined then begin
            c.quarantined <- true;
-           t.n_quarantined <- t.n_quarantined + 1;
            out := (c.src, c.dst) :: !out
          end))
     t.channels;
@@ -304,15 +297,10 @@ let exchange_channel t c ~round ~batch ~deliver ~recorder =
                     t.n_duplicated <- t.n_duplicated + 1
                   end
               | Delay { rounds } ->
-                  if Prng.bernoulli rng ~p:f.p then begin
-                    due := round + max 1 rounds;
-                    t.n_delayed <- t.n_delayed + 1
-                  end
+                  if Prng.bernoulli rng ~p:f.p then due := round + max 1 rounds
               | Reorder { window } ->
-                  if Prng.bernoulli rng ~p:f.p then begin
-                    pos := !pos + 1 + Prng.int rng (max 1 window);
-                    t.n_reordered <- t.n_reordered + 1
-                  end)
+                  if Prng.bernoulli rng ~p:f.p then
+                    pos := !pos + 1 + Prng.int rng (max 1 window))
           t.spec.faults;
       if not !dropped then
         for _ = 1 to !copies do
@@ -374,12 +362,9 @@ let exchange t ~round ~src ~dst ~batch ~deliver ~recorder =
 
 let messages_dropped t = t.n_dropped
 let duplicated t = t.n_duplicated
-let delayed t = t.n_delayed
-let reordered t = t.n_reordered
 let retries t = t.n_retries
 let stalls t = t.n_stalls
 let delivered t = t.n_delivered
-let quarantined t = t.n_quarantined
 
 (* --- spec parsing / printing ------------------------------------------- *)
 

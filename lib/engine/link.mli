@@ -104,14 +104,11 @@ val quarantine_stalled : 'q t -> (int * int) list
 
 val messages_dropped : 'q t -> int
 val duplicated : 'q t -> int
-val delayed : 'q t -> int
-val reordered : 'q t -> int
 val retries : 'q t -> int
 val stalls : 'q t -> int
 (** Rounds in which a channel's in-flight cap deferred traffic. *)
 
 val delivered : 'q t -> int
-val quarantined : 'q t -> int
 
 (** {1 Spec grammar} *)
 
@@ -127,8 +124,6 @@ val spec_of_string :
 val merge_spec : spec -> fault * bool option * int option * int option -> spec
 (** Fold one parsed segment into an accumulating spec (fault appended;
     flag overrides are last-wins). *)
-
-val string_of_fault : fault -> string
 
 val string_of_spec : spec -> string
 (** Canonical spec string; [""] when there are no faults.  Round-trips

@@ -12,12 +12,10 @@ type 'q t = {
   mutable rng : Prng.t;
       (* mutable for [restore] (rewind to the checkpointed stream) and
          [reseed] (recovery-policy escape from a pathological walk) *)
-  (* Per-slot view cursors and their preallocated [fill] closures.  Slot 0
-     is the sequential cursor ([view_of], [activate]); a parallel round
-     over a pool of [k] domains uses slots [0 .. k-1], one per domain, so
-     cursors never race.  Grown on demand by [ensure_slots]. *)
-  mutable scratches : 'q View.t array;
-  mutable pushes : (int -> unit) array;
+  (* The view cursor of [activate] and [sync_step] and its preallocated
+     [fill] closure (the sharded runtime's shards have their own). *)
+  scratch : 'q View.t;
+  push : int -> unit;
   (* Per-node streams for synchronous probabilistic stepping: node [v]
      draws from [node_rngs.(v)], a keyed split (key = v) of a base stream
      forked off [rng] at the first probabilistic synchronous round, so
@@ -30,8 +28,8 @@ type 'q t = {
   mutable activations : int;
   mutable transitions : int;
       (* activations that changed state; the progress signal the runner's
-         watchdog reads.  Parallel quiet commits count per shard into
-         [shard_transitions] and merge at the barrier. *)
+         watchdog reads.  The sharded runtime counts per shard and adds
+         the sum after its commit phase. *)
   mutable recorder : Recorder.t;
   (* Change-driven (dirty-set) scheduling.  [dirty] is empty until a
      dirty round is first requested; from then on it tracks, across every
@@ -58,16 +56,11 @@ type 'q t = {
       (* last Graph.version accounted for in [dirty]; a mismatch at the
          start of a dirty round means the graph was mutated directly
          (outside the fault pipeline) and the whole set is stale *)
-  (* Parallel-round merge buffers, one cell per pool slot: activation and
-     transition counts written by each shard, summed on the calling
-     domain at the barrier (the round's change flag is "any shard
-     committed a transition"). *)
-  mutable shard_counts : int array;
-  mutable shard_transitions : int array;
   mutable par_cutoff : int;
-      (* below this many nodes the parallel entry points run the
-         sequential path: pool hand-off costs more than the round on
-         tiny graphs, and the two paths are bit-identical by contract *)
+      (* below this many nodes the sharded runtime steps its shards on
+         the calling domain: pool hand-off costs more than the round on
+         tiny graphs, and the two schedules are bit-identical by
+         contract *)
   mutable epoch : int;
       (* bumped on every state write (commits, [set_state], [activate],
          [restore]); the sharded runtime latches it after each round and
@@ -77,15 +70,10 @@ type 'q t = {
          write wrote — the write that moved the epoch to [e] at [e land
          (length - 1)].  Every epoch in [(wlog_from, epoch]] has its
          entry, as long as it lies within the ring's length of [epoch].
-         A restore moves [wlog_from] up to the new epoch; a parallel
-         quiet commit, whose epoch bumps race, sets it to [suspended]
-         until the next sequential write. *)
+         A restore, and a commit from several domains at once (whose
+         epoch bumps race), move [wlog_from] up to the epoch they leave. *)
   mutable wlog_from : int;
 }
-
-let suspended = max_int
-
-let push_into scratch states = fun w -> View.push scratch states.(w)
 
 (* The cap bounds the worklist's memory and the worst-case sort, and
    sits below the measured break-even: at n = 100,489 with random ids
@@ -116,8 +104,8 @@ let init ~rng graph (automaton : 'q Fssga.t) =
       states;
       automaton;
       rng;
-      scratches = [| scratch |];
-      pushes = [| push_into scratch states |];
+      scratch;
+      push = (fun w -> View.push scratch states.(w));
       node_rngs = [||];
       next = [||];
       activations = 0;
@@ -132,8 +120,6 @@ let init ~rng graph (automaton : 'q Fssga.t) =
       sorter = Id_sort.create ~n:0;
       csr = Graph.csr graph;
       graph_version = Graph.version graph;
-      shard_counts = [| 0 |];
-      shard_transitions = [| 0 |];
       par_cutoff = 10_000;
       epoch = 0;
       wlog = Array.make (log_capacity (Array.length states)) 0;
@@ -151,29 +137,11 @@ let set_recorder t r = t.recorder <- r
 let state t v = t.states.(v)
 
 let view_of t v =
-  let scratch = t.scratches.(0) in
-  View.clear scratch;
-  Graph.iter_neighbours t.graph v t.pushes.(0);
-  scratch
+  View.clear t.scratch;
+  Graph.iter_neighbours t.graph v t.push;
+  t.scratch
 
-(* --- per-slot / per-node resources ----------------------------------- *)
-
-let ensure_slots t k =
-  if Array.length t.scratches < k then begin
-    let old = Array.length t.scratches in
-    let scratches =
-      Array.init k (fun i ->
-          if i < old then t.scratches.(i) else View.scratch ())
-    in
-    let pushes =
-      Array.init k (fun i ->
-          if i < old then t.pushes.(i) else push_into scratches.(i) t.states)
-    in
-    t.scratches <- scratches;
-    t.pushes <- pushes;
-    t.shard_counts <- Array.make k 0;
-    t.shard_transitions <- Array.make k 0
-  end
+(* --- per-node resources ---------------------------------------------- *)
 
 let node_rngs t =
   if Array.length t.node_rngs = 0 then begin
@@ -188,17 +156,17 @@ let node_rngs t =
 let dirty_tracking t = Array.length t.dirty > 0
 
 (* Anything that writes flags behind the worklist's back (a blanket
-   fill, a restore, a racing parallel commit, the rotor's in-pass scan)
-   calls this; the next take then rescans the flags and rebuilds the
-   worklist from them. *)
+   fill, a restore, commits racing on several domains, the rotor's
+   in-pass scan) calls this; the next take then rescans the flags and
+   rebuilds the worklist from them. *)
 let invalidate_worklist t =
   t.work_ok <- false;
   t.n_work <- 0
 
 (* Raise one flag, queueing the node on its false -> true flip — so
    each flagged node is queued once.  While the worklist is invalid the
-   flag alone is written, which is what makes parallel quiet commits
-   (they invalidate first) race-free: every racer only stores [true]. *)
+   flag alone is written, which is what makes parallel commits (they
+   invalidate first) race-free: every racer only stores [true]. *)
 let flag t v =
   if not t.dirty.(v) then begin
     t.dirty.(v) <- true;
@@ -328,12 +296,13 @@ let take_frontier t =
 
 (* --- the write log --------------------------------------------------- *)
 
-(* Bump the epoch for a sequential write of [v] and log it, resuming a
-   suspended log from here. *)
+(* Bump the epoch for a write of [v] and log it.  Racy when commits run
+   on several domains: ints are immediates and every writer adds, so
+   after the barrier the epoch still differs from any pre-round latch,
+   and [commit_parallel] restarts the log past the scrambled cells. *)
 let log_write t v =
   let e = t.epoch + 1 in
   t.epoch <- e;
-  if t.wlog_from = suspended then t.wlog_from <- e - 1;
   t.wlog.(e land (Array.length t.wlog - 1)) <- v
 
 let iter_writes t ~since f =
@@ -348,12 +317,6 @@ let iter_writes t ~since f =
      done;
      true
 
-(* Before commits from several domains at once: their re-marks would
-   race on the worklist, and their epoch bumps on the log. *)
-let prepare_parallel_commit t =
-  invalidate_worklist t;
-  t.wlog_from <- suspended
-
 let set_state t v q =
   t.states.(v) <- q;
   log_write t v;
@@ -361,36 +324,15 @@ let set_state t v q =
 
 (* --- activation ------------------------------------------------------ *)
 
-let activate t v =
-  if not (Graph.is_live_node t.graph v) then false
-  else begin
-    t.activations <- t.activations + 1;
-    let q' = t.automaton.step ~self:t.states.(v) ~rng:t.rng (view_of t v) in
-    (* physical equality first: steps that return [self] unchanged (waits,
-       fixpoints) skip the deep structural compare *)
-    let changed = q' != t.states.(v) && q' <> t.states.(v) in
-    if changed then begin
-      t.states.(v) <- q';
-      t.transitions <- t.transitions + 1;
-      log_write t v;
-      mark_dirty_around t v
-    end;
-    if Recorder.enabled t.recorder then
-      Recorder.activation t.recorder ~node:v ~view_size:(Graph.degree t.graph v)
-        ~changed;
-    changed
-  end
-
-let ensure_next t =
-  if Array.length t.next < Array.length t.states then
-    t.next <- Array.copy t.states;
-  t.next
-
-let commit t v q' =
+(* Write one node's next state: the epoch, the write log and the dirty
+   re-marks move only on a change.  Physical equality first: steps that
+   return [self] unchanged (waits, fixpoints) skip the deep structural
+   compare.  Leaves the transition counter to the caller, so commits
+   can run on several domains (see [commit_parallel]). *)
+let commit_node t v q' =
   let changed = q' != t.states.(v) && q' <> t.states.(v) in
   if changed then begin
     t.states.(v) <- q';
-    t.transitions <- t.transitions + 1;
     log_write t v;
     mark_dirty_around t v
   end;
@@ -399,15 +341,37 @@ let commit t v q' =
       ~changed;
   changed
 
-(* Fill [next.(v)] for one node through the slot's cursor.  The rng a
-   probabilistic step sees is the node's private stream, never the shared
-   one — that is the whole determinism contract of synchronous rounds. *)
-let read_node t ~slot ~det v =
-  let scratch = t.scratches.(slot) in
-  View.clear scratch;
-  Graph.iter_neighbours t.graph v t.pushes.(slot);
+let commit t v q' =
+  let changed = commit_node t v q' in
+  if changed then t.transitions <- t.transitions + 1;
+  changed
+
+let commit_parallel t pool ~n f =
+  invalidate_worklist t;
+  let e0 = t.epoch in
+  Domain_pool.run pool ~n f;
+  (* every writer leaves the epoch past [e0], so an unmoved epoch means
+     no cell of the log was written *)
+  if t.epoch <> e0 then t.wlog_from <- t.epoch
+
+let activate t v =
+  if not (Graph.is_live_node t.graph v) then false
+  else begin
+    t.activations <- t.activations + 1;
+    commit t v (t.automaton.step ~self:t.states.(v) ~rng:t.rng (view_of t v))
+  end
+
+let ensure_next t =
+  if Array.length t.next < Array.length t.states then
+    t.next <- Array.copy t.states;
+  t.next
+
+(* Fill [next.(v)] for one node.  The rng a probabilistic step sees is
+   the node's private stream, never the shared one — that is the whole
+   determinism contract of synchronous rounds. *)
+let read_node t ~det v =
   let rng = if det then t.rng else t.node_rngs.(v) in
-  t.next.(v) <- t.automaton.step ~self:t.states.(v) ~rng scratch
+  t.next.(v) <- t.automaton.step ~self:t.states.(v) ~rng (view_of t v)
 
 let sync_step t =
   let g = t.graph in
@@ -422,7 +386,7 @@ let sync_step t =
   for v = 0 to n - 1 do
     if Graph.is_live_node g v then begin
       t.activations <- t.activations + 1;
-      read_node t ~slot:0 ~det v
+      read_node t ~det v
     end
   done;
   Span.record sp Span.Read ~shard:0 ~round:rd ~t0;
@@ -430,42 +394,6 @@ let sync_step t =
   let any = ref false in
   for v = 0 to n - 1 do
     if Graph.is_live_node g v then if commit t v t.next.(v) then any := true
-  done;
-  Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
-  !any
-
-(* One synchronous round stepping only dirty nodes.  Sound for
-   deterministic automata: a node whose own state and whole neighbourhood
-   are unchanged since its last step recomputes the same state (the local
-   fixpoint argument behind Dijkstra-style self-stabilizing repair), so
-   skipping it is a provable no-op and round counts, change flags and
-   final states match naive stepping bit for bit. *)
-let sync_step_dirty t =
-  ensure_tracking t;
-  reconcile_graph t;
-  ignore (ensure_next t);
-  let det = Fssga.is_deterministic t.automaton in
-  if not det then ignore (node_rngs t);
-  let sp = Recorder.spans t.recorder in
-  let rd = Recorder.round t.recorder in
-  let t0 = Span.now sp in
-  let k = take_frontier t in
-  Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0;
-  let frontier = t.dirty_scratch in
-  (* Read phase over the dirty frontier, ascending for determinism of the
-     telemetry stream. *)
-  let t0 = Span.now sp in
-  for i = 0 to k - 1 do
-    read_node t ~slot:0 ~det frontier.(i)
-  done;
-  t.activations <- t.activations + k;
-  Span.record sp Span.Read ~shard:0 ~round:rd ~t0;
-  Recorder.frontier t.recorder ~size:k;
-  let t0 = Span.now sp in
-  let any = ref false in
-  for i = 0 to k - 1 do
-    let v = frontier.(i) in
-    if commit t v t.next.(v) then any := true
   done;
   Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
   !any
@@ -494,154 +422,6 @@ let rotor_step_dirty t =
     end
   done;
   !any
-
-(* --- parallel synchronous rounds ------------------------------------- *)
-
-(* A commit without the recorder hook: the parallel commit phase is only
-   taken when no recorder is attached (with one, the commit phase runs
-   sequentially so the telemetry stream is bit-identical to the
-   sequential engine).  The [mark_dirty_around] stores are the only
-   cross-shard writes and are benign (every racer writes [true]) as long
-   as the caller ran [prepare_parallel_commit] first, so nobody queues
-   and nobody logs.  Called sequentially (the sharded runtime without a
-   pool), it logs its writes. *)
-let commit_quiet t v q' =
-  let changed = q' != t.states.(v) && q' <> t.states.(v) in
-  if changed then begin
-    t.states.(v) <- q';
-    (* Racy but monotonic (ints are immediates, every writer adds):
-       after the barrier the value differs from any pre-round latch,
-       which is all the epoch is for. *)
-    t.epoch <- t.epoch + 1;
-    if t.wlog_from <> suspended then
-      t.wlog.(t.epoch land (Array.length t.wlog - 1)) <- v;
-    mark_dirty_around t v
-  end;
-  changed
-
-(* Each shard body reads only its own chunk's nodes and writes only its
-   own chunk's [next]/[states] cells, its own frontier segment, and its
-   own slot's merge cells; [Domain_pool.run]'s mutex hand-off provides
-   the happens-before edges either side of each phase. *)
-
-let sync_step_par ~pool t =
-  if Domain_pool.size pool <= 1 || Graph.original_size t.graph < t.par_cutoff
-  then sync_step t
-  else begin
-    let g = t.graph in
-    let n = Graph.original_size g in
-    ignore (ensure_next t);
-    ensure_slots t (Domain_pool.size pool);
-    let det = Fssga.is_deterministic t.automaton in
-    if not det then ignore (node_rngs t);
-    let sp = Recorder.spans t.recorder in
-    let rd = Recorder.round t.recorder in
-    Domain_pool.run pool ~n (fun slot lo hi ->
-        let t0 = Span.now sp in
-        let c = ref 0 in
-        for v = lo to hi - 1 do
-          if Graph.is_live_node g v then begin
-            incr c;
-            read_node t ~slot ~det v
-          end
-        done;
-        t.shard_counts.(slot) <- !c;
-        Span.record sp Span.Read ~shard:slot ~round:rd ~t0);
-    let t0 = Span.now sp in
-    for slot = 0 to Domain_pool.size pool - 1 do
-      t.activations <- t.activations + t.shard_counts.(slot)
-    done;
-    Span.record sp Span.Merge ~shard:0 ~round:rd ~t0;
-    if Recorder.enabled t.recorder then begin
-      (* Exact telemetry: sequential ascending commit, indistinguishable
-         from [sync_step]'s commit phase.  (A span-enabled recorder is
-         an enabled recorder, so the quiet parallel commit below never
-         runs under profiling — commit spans are sequential.) *)
-      let t0 = Span.now sp in
-      let any = ref false in
-      for v = 0 to n - 1 do
-        if Graph.is_live_node g v then if commit t v t.next.(v) then any := true
-      done;
-      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
-      !any
-    end
-    else begin
-      prepare_parallel_commit t;
-      Domain_pool.run pool ~n (fun slot lo hi ->
-          let ch = ref 0 in
-          for v = lo to hi - 1 do
-            if Graph.is_live_node g v then
-              if commit_quiet t v t.next.(v) then incr ch
-          done;
-          t.shard_transitions.(slot) <- !ch);
-      let any = ref false in
-      for slot = 0 to Domain_pool.size pool - 1 do
-        t.transitions <- t.transitions + t.shard_transitions.(slot);
-        if t.shard_transitions.(slot) > 0 then any := true
-      done;
-      !any
-    end
-  end
-
-(* Dirty rounds compose with sharding: the frontier is taken once and
-   split into [pool]-many equal slices, each slot reading its own slice.
-   Quiet parallel commits invalidate the worklist first — their re-marks
-   would race on the queue — so the next round's take rescans the
-   flags. *)
-let sync_step_dirty_par ~pool t =
-  if Domain_pool.size pool <= 1 || Graph.original_size t.graph < t.par_cutoff
-  then sync_step_dirty t
-  else begin
-    ensure_tracking t;
-    reconcile_graph t;
-    ignore (ensure_next t);
-    let slots = Domain_pool.size pool in
-    ensure_slots t slots;
-    let det = Fssga.is_deterministic t.automaton in
-    if not det then ignore (node_rngs t);
-    let sp = Recorder.spans t.recorder in
-    let rd = Recorder.round t.recorder in
-    let t0 = Span.now sp in
-    let k = take_frontier t in
-    Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0;
-    let frontier = t.dirty_scratch in
-    Domain_pool.run pool ~n:k (fun slot lo hi ->
-        let t0 = Span.now sp in
-        for i = lo to hi - 1 do
-          read_node t ~slot ~det frontier.(i)
-        done;
-        Span.record sp Span.Read ~shard:slot ~round:rd ~t0);
-    t.activations <- t.activations + k;
-    Recorder.frontier t.recorder ~size:k;
-    if Recorder.enabled t.recorder then begin
-      (* The frontier ascends, so this is the sequential dirty commit
-         order, telemetry included. *)
-      let t0 = Span.now sp in
-      let any = ref false in
-      for i = 0 to k - 1 do
-        let v = frontier.(i) in
-        if commit t v t.next.(v) then any := true
-      done;
-      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
-      !any
-    end
-    else begin
-      prepare_parallel_commit t;
-      Domain_pool.run pool ~n:k (fun slot lo hi ->
-          let ch = ref 0 in
-          for i = lo to hi - 1 do
-            let v = frontier.(i) in
-            if commit_quiet t v t.next.(v) then incr ch
-          done;
-          t.shard_transitions.(slot) <- !ch);
-      let any = ref false in
-      for slot = 0 to slots - 1 do
-        t.transitions <- t.transitions + t.shard_transitions.(slot);
-        if t.shard_transitions.(slot) > 0 then any := true
-      done;
-      !any
-    end
-  end
 
 let dirty_step_sound t = Fssga.is_deterministic t.automaton
 
@@ -732,8 +512,9 @@ let restore t cp =
   let n = Array.length t.states in
   if Array.length cp.cp_states <> n then
     invalid_arg "Network.restore: checkpoint from a different network";
-  (* Blit, never replace: the per-slot push closures capture [t.states],
-     so the array's identity must survive a restore. *)
+  (* Blit, never replace: the push closure and the sharded runtime's
+     shards capture [t.states], so the array's identity must survive a
+     restore. *)
   Array.blit cp.cp_states 0 t.states 0 n;
   Graph.restore t.graph cp.cp_graph;
   (* Fresh copies each time, so restoring twice replays the identical
@@ -793,9 +574,8 @@ let raw_dirty t = t.dirty
 let raw_node_rngs t = node_rngs t
 let ensure_dirty_tracking t = ensure_tracking t
 let raw_frontier t = t.dirty_scratch
+let raw_next t = ensure_next t
 let frontier_rescans t = t.rescans
-let commit_node t v q' = commit t v q'
-let commit_node_quiet t v q' = commit_quiet t v q'
 let add_activations t k = t.activations <- t.activations + k
 let add_transitions t k = t.transitions <- t.transitions + k
 

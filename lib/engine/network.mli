@@ -3,30 +3,32 @@
     the dynamics are built from.
 
     Hot-path contract: a network owns one reusable {!Symnet_core.View.t}
-    scratch cursor per execution slot (slot 0 is the sequential one; a
-    parallel round over a [k]-domain pool uses [k] cursors, one per
-    domain, so they never race).  A node's view is filled into its
-    slot's cursor in place by iterating the graph's CSR adjacency, so
-    {!activate} and {!sync_step} perform zero per-node heap allocation
-    for the view.  A filled view is only valid until the next
-    activation — transition functions consume it synchronously (the
-    {!Symnet_core.View} interface is strict, so this cannot be violated
-    from algorithm code).
+    scratch cursor.  A node's view is filled into it in place by
+    iterating the graph's CSR adjacency, so {!activate} and {!sync_step}
+    perform zero per-node heap allocation for the view.  A filled view
+    is only valid until the next activation — transition functions
+    consume it synchronously (the {!Symnet_core.View} interface is
+    strict, so this cannot be violated from algorithm code).
+
+    {!sync_step} is the reference synchronous round.  The runner drives
+    its synchronous rounds through {!Sharded_network}, whose one-shard
+    layout is this engine's dirty-set and commit machinery behind the
+    same round, and whose every (shards, domains) combination is
+    bit-identical to {!sync_step}.
 
     Randomness contract for synchronous rounds: a {e probabilistic}
-    automaton stepped by {!sync_step} (or its parallel/dirty variants)
-    draws from a private per-node stream — a
-    {!Symnet_prng.Prng.split_key} (key = node id) of a base stream the
-    network forks off its rng at the first probabilistic synchronous
-    round — not from the shared stream.  A node's draw sequence is
-    therefore a function of (base, node) alone, which is what makes
-    {!sync_step_par} bit-identical to {!sync_step} at every domain
-    count; the one-off fork advances the shared rng, so successive
-    networks built over one rng still see distinct randomness.
-    Asynchronous activation ({!activate}, and the rotor/random
-    disciplines built on it) keeps drawing from the shared stream: there
-    the activation order is the schedule, and sequential semantics are
-    the point.
+    automaton stepped synchronously draws from a private per-node
+    stream — a {!Symnet_prng.Prng.split_key} (key = node id) of a base
+    stream the network forks off its rng at the first probabilistic
+    synchronous round — not from the shared stream.  A node's draw
+    sequence is therefore a function of (base, node) alone, which is
+    what makes a round on several domains bit-identical to
+    {!sync_step}; the one-off fork advances the shared rng, so
+    successive networks built over one rng still see distinct
+    randomness.  Asynchronous activation ({!activate}, and the
+    rotor/random disciplines built on it) keeps drawing from the shared
+    stream: there the activation order is the schedule, and sequential
+    semantics are the point.
 
     Write log: every state write — a commit, {!set_state}, an
     {!activate} that changes the node — moves {!state_epoch} by one and
@@ -34,8 +36,8 @@
     dirty worklist ([max 64 (n/16)], rounded up to a power of two).
     {!iter_writes} reads it back, and {!refresh_checkpoint} brings a
     checkpoint up to date at the cost of what was written since.  A
-    {!restore}, a parallel quiet commit (its epoch bumps race) or a
-    reader further behind than the ring mean that everything may have
+    {!restore}, a {!commit_parallel} (its epoch bumps race) or a reader
+    further behind than the ring mean that everything may have
     changed. *)
 
 module Graph := Symnet_graph.Graph
@@ -76,30 +78,11 @@ val sync_step : 'q t -> bool
 (** One synchronous step: all live nodes transition simultaneously from
     the same snapshot.  Returns [true] if any state changed. *)
 
-val sync_step_par : pool:Domain_pool.t -> 'q t -> bool
-(** {!sync_step} with the read phase (view fill + transition) sharded
-    over the pool's domains — bit-identical outcome at every pool size:
-    same states, same change flag, same activation count, and (via the
-    per-node streams) the same probabilistic draws.  Commit-phase writes
-    are per-node disjoint, so the hot path takes no locks; when a
-    recorder is attached the commit phase runs sequentially so the
-    telemetry stream is also bit-identical to the sequential engine.
-    With a pool of size 1, or on graphs below {!par_cutoff} nodes (where
-    pool hand-off costs more than the round), this {e is}
-    {!sync_step}. *)
-
-val sync_step_dirty_par : pool:Domain_pool.t -> 'q t -> bool
-(** {!sync_step_dirty} sharded the same way: each shard walks only the
-    dirty nodes of its chunk.  Same soundness condition as the
-    sequential dirty step (deterministic automata only — consult
-    {!dirty_step_sound}); bit-identical to {!sync_step_dirty} at every
-    pool size.  Subject to the same {!par_cutoff} as
-    {!sync_step_par}. *)
-
 val par_cutoff : 'q t -> int
-(** Node count below which the parallel entry points take the sequential
-    path (default 10_000).  Purely a scheduling decision — both paths
-    are bit-identical — so it only affects wall-clock time. *)
+(** Node count below which {!Sharded_network.step} runs its shards on
+    the calling domain even when given a pool (default 10_000).  Purely
+    a scheduling decision — both schedules are bit-identical — so it
+    only affects wall-clock time. *)
 
 val set_par_cutoff : 'q t -> int -> unit
 (** Override the cutoff; [0] forces the parallel path at any size
@@ -111,27 +94,25 @@ val set_par_cutoff : 'q t -> int -> unit
     A node is {e dirty} when its own state or a neighbour's state changed
     since it last stepped (or a fault touched its neighbourhood).  For a
     {e deterministic} automaton, re-stepping a clean node is a provable
-    no-op — same self, same view, same transition — so the dirty variants
-    below step only dirty nodes and still produce bit-identical round
-    counts, change flags and final states to their naive counterparts.
-    They are unsound for probabilistic automata (skipping a node shifts
-    the rng draw sequence); {!Scheduler.round} consults
+    no-op — same self, same view, same transition — so a dirty round
+    ({!Sharded_network.step} with [~dirty:true], {!rotor_step_dirty})
+    steps only dirty nodes and still produces bit-identical round
+    counts, change flags and final states to its naive counterpart.
+    Dirty rounds are unsound for probabilistic automata (skipping a node
+    shifts the rng draw sequence); {!Scheduler.round} consults
     {!dirty_step_sound} and falls back to naive stepping automatically.
 
-    Tracking begins at the first dirty call (everything starts dirty) and
-    is thereafter maintained by every mutation path ([activate],
-    [sync_step], [set_state]).  Fault application must be reported via
+    Tracking begins at the first dirty round (everything starts dirty)
+    and is thereafter maintained by every mutation path ([activate],
+    commits, [set_state]).  Fault application must be reported via
     {!mark_dirty} / {!mark_dirty_around}; {!Runner.run} does this.
 
     A dirty round costs its frontier, not n: every mark that raises a
     flag also queues the node on a worklist, and a round takes its
     frontier by draining and sorting that worklist.  Paths that write
     flags wholesale (the first round, {!reconcile_graph}, {!restore},
-    parallel quiet commits, the rotor pass) leave the worklist
-    incomplete, and the next round rescans the flags instead. *)
-
-val sync_step_dirty : 'q t -> bool
-(** {!sync_step}, stepping only dirty nodes. *)
+    {!commit_parallel}, the rotor pass) leave the worklist incomplete,
+    and the next round rescans the flags instead. *)
 
 val rotor_step : 'q t -> bool
 (** One rotor pass: activate every live node in ascending order
@@ -159,7 +140,7 @@ val mark_dirty_around : 'q t -> int -> unit
 val reconcile_graph : 'q t -> unit
 (** If the graph was mutated since the network last accounted for it
     (compared via {!Symnet_graph.Graph.version}), mark {e everything}
-    dirty.  The dirty steps call this themselves, so deletions performed
+    dirty.  Dirty rounds call this themselves, so deletions performed
     directly on the graph — outside the runner's fault pipeline — are
     always picked up; the runner calls it before its precise per-fault
     marking.  No-op before tracking starts. *)
@@ -283,10 +264,10 @@ val digest_step :
 
     Raw access for {!Sharded_network}, whose shards read and commit
     their owned slices of the flat state array in place and must
-    observe and reuse the flat engine's counters, dirty set and
-    per-node rng streams so that sharded rounds stay bit-identical to
-    flat ones.  Not for algorithm code: the arrays returned are the live
-    internals, not copies. *)
+    observe and reuse the flat engine's commit buffer, counters, dirty
+    set and per-node rng streams so that their rounds stay bit-identical
+    to {!sync_step}.  Not for algorithm code: the arrays returned are
+    the live internals, not copies. *)
 
 val state_epoch : 'q t -> int
 (** A counter bumped on every state write ({!set_state}, {!activate},
@@ -329,31 +310,31 @@ val take_frontier : 'q t -> int
 val raw_frontier : 'q t -> int array
 (** The buffer {!take_frontier} fills. *)
 
-val prepare_parallel_commit : 'q t -> unit
-(** Required before committing from several domains at once
-    ({!commit_node_quiet} in parallel): declares the dirty worklist
-    incomplete, so the next {!take_frontier} rescans the flags, and
-    suspends the write log, which then reads as "everything changed"
-    until the next sequential write.  Their re-marks would race on the
-    worklist and their epoch bumps on the log; neither is then
-    written. *)
+val raw_next : 'q t -> 'q array
+(** The commit buffer a synchronous round's read phase fills, indexed
+    by node id; allocated (n cells) at its first use, then the same
+    array for the network's life. *)
 
 val frontier_rescans : 'q t -> int
 (** How many frontiers were taken by a full flag rescan rather than
     from the worklist (diagnostics and tests). *)
 
 val commit_node : 'q t -> int -> 'q -> bool
-(** Commit one node's next state with full bookkeeping: transition
-    counter, dirty re-marking, recorder activation hook, epoch.  This is
-    the flat engine's own sequential commit — the sharded runtime calls
-    it in ascending node order when a recorder is attached so telemetry
-    is byte-identical. *)
+(** Commit one node's next state: on a change, write it, move the epoch
+    and the write log and re-mark the node's closed neighbourhood dirty;
+    then feed the recorder's activation hook.  Returns whether the state
+    changed; the transition counter is left to the caller
+    ({!add_transitions}). *)
 
-val commit_node_quiet : 'q t -> int -> 'q -> bool
-(** Commit one node without the recorder hook or the shared transition
-    counter (count per shard, then {!add_transitions}).  Safe to call
-    concurrently on distinct nodes once {!prepare_parallel_commit} has
-    run; the dirty re-marks then race benignly. *)
+val commit_parallel :
+  'q t -> Domain_pool.t -> n:int -> (int -> int -> int -> unit) -> unit
+(** [commit_parallel t pool ~n f] runs [f] over [[0, n)] on the pool
+    ({!Domain_pool.run}) as commits from several domains at once, each
+    calling {!commit_node} on its own nodes with no recorder attached.
+    Their re-marks would race on the dirty worklist, so it is declared
+    incomplete first (the next {!take_frontier} rescans the flags);
+    their epoch bumps race on the write log, so when they moved the
+    epoch it restarts at the epoch they leave. *)
 
 val add_activations : 'q t -> int -> unit
 (** Add to the activation counter (merged per-shard read counts). *)

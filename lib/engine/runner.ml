@@ -29,13 +29,6 @@ let recovery ?(patience = 50) ?(checkpoint_every = 25) policy =
   if checkpoint_every < 1 then invalid_arg "Runner.recovery: checkpoint_every < 1";
   { policy; patience; checkpoint_every }
 
-(* A checkpoint snapshots whichever runtime is driving the rounds: the
-   sharded wrapper's checkpoint embeds the network's and additionally
-   saves the partition, so a rollback restores both coherently. *)
-type 'q snap =
-  | Snap_flat of 'q Network.checkpoint
-  | Snap_sharded of 'q Sharded_network.checkpoint
-
 let fault_event : Fault.action -> Obs.Events.fault_action = function
   | Fault.Kill_node v -> Obs.Events.Kill_node v
   | Fault.Kill_edge (u, v) -> Obs.Events.Kill_edge (u, v)
@@ -44,7 +37,7 @@ let fault_event : Fault.action -> Obs.Events.fault_action = function
       Obs.Events.Crash_restart { node; downtime }
 
 (* A resumable run: all the mutable run state lives in closures created
-   by [start_with]; [step] advances by exactly one scheduler round (plus
+   by [start]; [step] advances by exactly one scheduler round (plus
    any watchdog/recovery action that round triggers) and [run] is a loop
    over [step] — the recursive go/watch/recover structure this replaces
    had only tail transitions, so chunking it per-round is operation-for-
@@ -54,25 +47,49 @@ let fault_event : Fault.action -> Obs.Events.fault_action = function
    service with round execution on one core. *)
 type 'q session = {
   sn_net : 'q Network.t;
+  sn_runtime : 'q Sharded_network.t;
   sn_step : unit -> outcome option;
   sn_round : unit -> int;
   sn_result : unit -> outcome option;
 }
 
-let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
-    ?recovery ~max_rounds ~recorder ?stop ?on_round net =
-  let g = Network.graph net in
-  let automaton = Network.automaton net in
-  Network.set_recorder net recorder;
-  (* A chaos spec may carry a channel-fault model: it only has meaning on
-     the sharded runtime (the flat engine has no channels), where it is
-     keyed off a seed decorrelated from the node-fault streams. *)
-  (match (sharded, chaos) with
-  | Some sh, Some c when Link.active (Chaos.link c) ->
-      Sharded_network.configure_link sh
+(* The one runtime a run's synchronous rounds go through, and whose
+   checkpoints its rollbacks restore: [shards] when given, else one
+   shard per pool domain for a synchronous run, else one shard (the
+   flat engine).  A chaos spec may carry a channel-fault model; it is
+   installed only when [shards] is given, keyed off a seed decorrelated
+   from the node-fault streams. *)
+let runtime ?pool ?rebalance_every ?shards ?chaos ~scheduler net =
+  let synchronous =
+    match scheduler with Scheduler.Synchronous -> true | _ -> false
+  in
+  let k =
+    match (shards, pool) with
+    | Some k, _ ->
+        if not synchronous then
+          invalid_arg "Runner.run: shards requires the synchronous scheduler";
+        k
+    | None, Some pool when synchronous && Domain_pool.size pool > 1 ->
+        Domain_pool.size pool
+    | None, _ -> 1
+  in
+  let rt = Sharded_network.create ?rebalance_every ~shards:k net in
+  (match (shards, chaos) with
+  | Some _, Some c when Link.active (Chaos.link c) ->
+      Sharded_network.configure_link rt
         ~seed:(Chaos.seed c lxor 0x71a6)
         (Chaos.link c)
   | _ -> ());
+  rt
+
+let start ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
+    ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
+    ?(recorder = Obs.Recorder.null) ?pool ?shards ?rebalance_every ?stop
+    ?on_round net =
+  let rt = runtime ?pool ?rebalance_every ?shards ?chaos ~scheduler net in
+  let g = Network.graph net in
+  let automaton = Network.automaton net in
+  Network.set_recorder net recorder;
   (* Profiling spans for the runner's own phases (fault application,
      checkpoints, recoveries); [Obs.Span.null] unless the recorder was
      created with a live collector, in which case every bracket below is
@@ -144,21 +161,9 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
   let best_delta = ref max_int in
   let stall = ref 0 in
   let trans_before = ref (Network.transitions net) in
-  let take_snap () =
-    match sharded with
-    | Some sh -> Snap_sharded (Sharded_network.checkpoint sh)
-    | None -> Snap_flat (Network.checkpoint net)
-  in
-  let restore_snap = function
-    | Snap_sharded c -> (
-        match sharded with
-        | Some sh -> Sharded_network.restore sh c
-        | None -> assert false)
-    | Snap_flat c -> Network.restore net c
-  in
   let take_checkpoint round =
     let t0 = Obs.Span.now sp in
-    cp := Some (round, take_snap (), !pending, !restarts);
+    cp := Some (round, Sharded_network.checkpoint rt, !pending, !restarts);
     Obs.Span.record sp Obs.Span.Checkpoint ~shard:0 ~round ~t0;
     Obs.Recorder.checkpoint recorder ~round
   in
@@ -166,6 +171,12 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
   let result = ref None in
   let next_round = ref 1 in
   let finish ~round ~quiesced ~stopped ~gave_up =
+    (* The session's runtime is dropped with its channels: an update
+       still in flight leaves its readers clean against a stale ghost,
+       and its delivery would have woken them.  The marking ghost pass
+       wakes them now, for whichever session steps this network next. *)
+    if Option.is_some (Sharded_network.link_runtime rt) then
+      Sharded_network.resync rt;
     let reason =
       if gave_up then "gave_up"
       else if stopped then "stopped"
@@ -226,14 +237,11 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
            authority so nothing is lost with the dropped in-flight data.
            A second trip with nothing left to quarantine gives up. *)
         let quarantined =
-          match sharded with
-          | Some sh -> (
-              match Sharded_network.link_runtime sh with
-              | Some lk ->
-                  let q = Link.quarantine_stalled lk in
-                  if q <> [] then Sharded_network.resync sh;
-                  q
-              | None -> [])
+          match Sharded_network.link_runtime rt with
+          | Some lk ->
+              let q = Link.quarantine_stalled lk in
+              if q <> [] then Sharded_network.resync rt;
+              q
           | None -> []
         in
         match quarantined with
@@ -264,7 +272,7 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
           when !attempts_used < attempts ->
             incr attempts_used;
             incr recoveries;
-            restore_snap snap;
+            Sharded_network.restore rt snap;
             pending := cp_pending;
             restarts := cp_restarts;
             if reseed then
@@ -320,7 +328,7 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
       if fault_work then
         Obs.Span.record sp Obs.Span.Fault_apply ~shard:0 ~round ~t0:fault_t0;
       let changed =
-        Scheduler.round ?pool ~dirty:!dirty_now ?sharded scheduler net ~round
+        Scheduler.round ?pool ~dirty:!dirty_now ~sharded:rt scheduler net ~round
       in
       Obs.Recorder.round_end recorder ~round ~changed;
       (match on_round with Some f -> f ~round net | None -> ());
@@ -354,6 +362,7 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
   in
   {
     sn_net = net;
+    sn_runtime = rt;
     sn_step = step;
     sn_round = (fun () -> !next_round);
     sn_result = (fun () -> !result);
@@ -361,6 +370,7 @@ let start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
 
 let step s = s.sn_step ()
 let session_net s = s.sn_net
+let session_runtime s = s.sn_runtime
 let session_round s = s.sn_round ()
 let session_result s = s.sn_result ()
 
@@ -368,33 +378,14 @@ let finish s =
   let rec go () = match s.sn_step () with Some o -> o | None -> go () in
   go ()
 
-let make_sharded ?rebalance_every ~scheduler ~shards net =
-  match shards with
-  | None -> None
-  | Some k ->
-      (match scheduler with
-      | Scheduler.Synchronous -> ()
-      | _ ->
-          invalid_arg "Runner.run: shards requires the synchronous scheduler");
-      Some (Sharded_network.create ?rebalance_every ~shards:k net)
-
-let start ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
-    ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
-    ?(recorder = Obs.Recorder.null) ?pool ?shards ?rebalance_every ?stop
-    ?on_round net =
-  let sharded = make_sharded ?rebalance_every ~scheduler ~shards net in
-  start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt ?recovery
-    ~max_rounds ~recorder ?stop ?on_round net
-
 let run ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
     ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
     ?(recorder = Obs.Recorder.null) ?pool ?(domains = 1) ?shards
     ?rebalance_every ?stop ?on_round net =
-  let sharded = make_sharded ?rebalance_every ~scheduler ~shards net in
   let run_with ?pool () =
     finish
-      (start_with ?pool ?sharded ~scheduler ~dirty ~faults ?chaos ?corrupt
-         ?recovery ~max_rounds ~recorder ?stop ?on_round net)
+      (start ~scheduler ~dirty ~faults ?chaos ?corrupt ?recovery ~max_rounds
+         ~recorder ?pool ?shards ?rebalance_every ?stop ?on_round net)
   in
   match pool with
   | Some _ -> run_with ?pool ()

@@ -107,6 +107,12 @@ val finish : 'q session -> outcome
 (** Drive the session to completion ({!step} until it yields). *)
 
 val session_net : 'q session -> 'q Network.t
+
+val session_runtime : 'q session -> 'q Sharded_network.t
+(** The runtime the session's synchronous rounds go through (see
+    {!run}'s [shards]): its partition and link runtime, for diagnostics
+    and tests. *)
+
 val session_round : 'q session -> int
 (** The round the next {!step} will execute (1-based; after a rollback
     it rewinds to just past the restored checkpoint). *)
@@ -161,27 +167,33 @@ val run :
     keeps the dirty set consistent across fault applications, revivals
     and rollbacks.
 
-    [domains] (default 1) runs {!Scheduler.Synchronous} rounds sharded
-    over that many domains — the run is bit-identical at every count
-    even under faults and chaos, because all fault derivation and
-    application happens sequentially at round boundaries (see
-    {!Network.sync_step_par} and {!Chaos}); [0] means
-    {!Domain_pool.recommended}.  A fresh pool is created for the run and
-    shut down afterwards; callers executing many runs should instead
-    pass a long-lived [pool] (which takes precedence over [domains]).
-    Asynchronous schedulers ignore both.
+    Every {!Scheduler.Synchronous} round goes through one runtime
+    ({!Sharded_network}), created when the run starts, in O(1) for one
+    shard.  Its shard count is [shards] when given; otherwise the pool's
+    domain count when the pool has more than one domain; otherwise 1,
+    which is the flat engine.  Results are bit-identical at every
+    (shards, domains) combination — chaos, checkpointing and recovery
+    included (rollbacks restore the partition too) — because all fault
+    derivation and application happens sequentially at round boundaries
+    (see {!Chaos}).
 
-    [shards] (>= 1) routes the synchronous rounds through the
-    partitioned runtime ({!Sharded_network}): the graph is cut into that
-    many contiguous shards communicating through explicit message
-    queues, with the read/commit/exchange phases parallelised over
-    [pool]/[domains].  Results stay bit-identical to the flat engine at
-    every (shards, domains) combination — chaos, checkpointing and
-    recovery included (rollbacks restore the partition too).
+    [domains] (default 1) runs the synchronous rounds over that many
+    domains; [0] means {!Domain_pool.recommended}.  A fresh pool is
+    created for the run and shut down afterwards; callers executing
+    many runs should instead pass a long-lived [pool] (which takes
+    precedence over [domains]).  Asynchronous schedulers ignore both.
+
+    [shards] (>= 1) cuts the graph into that many contiguous shards
+    communicating through explicit message queues, with the
+    read/commit/exchange phases parallelised over [pool]/[domains].
     [rebalance_every] forwards to {!Sharded_network.create}.  When the
-    [chaos] spec carries a [link=] channel-fault model ({!Chaos.link}),
-    it is installed on the sharded runtime here
-    ({!Sharded_network.configure_link}); flat runs ignore it.
+    [chaos] spec carries a [link=] channel-fault model ({!Chaos.link})
+    and [shards] is given, it is installed on the runtime here
+    ({!Sharded_network.configure_link}); other runs ignore it.  A linked
+    session that ends — quiescence, budget, stop or give-up — first runs
+    the marking ghost pass ({!Sharded_network.resync}), so the readers
+    of a ghost whose update was still in flight are left dirty for the
+    next session on the network.
     @raise Invalid_argument when [shards] is combined with an
     asynchronous scheduler.
 

@@ -28,13 +28,7 @@ let round ?pool ?(dirty = true) ?sharded t net ~round =
   | Synchronous -> (
       match sharded with
       | Some sh -> Sharded_network.step ?pool ~dirty sh
-      | None -> (
-          match pool with
-          | Some pool when Domain_pool.size pool > 1 ->
-              if dirty then Network.sync_step_dirty_par ~pool net
-              else Network.sync_step_par ~pool net
-          | _ ->
-              if dirty then Network.sync_step_dirty net else Network.sync_step net))
+      | None -> Network.sync_step net)
   | Rotor -> if dirty then Network.rotor_step_dirty net else Network.rotor_step net
   | Random_permutation ->
       let nodes = Array.of_list (Network.live_nodes net) in

@@ -31,23 +31,22 @@ val round :
   bool
 (** Run one round; [true] if any activation changed a state.
 
-    [pool] shards {!Synchronous} rounds over a {!Domain_pool} — a
-    bit-identical parallel execution of the same round (see
-    {!Network.sync_step_par}).  The asynchronous disciplines are defined
-    by their sequential activation order and ignore it.
-
-    [sharded] routes {!Synchronous} rounds through the partitioned
-    runtime ({!Sharded_network.step}, also bit-identical); it must wrap
-    the same network.  The asynchronous disciplines ignore it.
+    [sharded] is the runtime {!Synchronous} rounds go through
+    ({!Sharded_network.step}, bit-identical to {!Network.sync_step} at
+    every (shards, domains) combination); it must wrap the same network.
+    [pool] parallelises its rounds over a {!Domain_pool}.  Without a
+    runtime a {!Synchronous} round is {!Network.sync_step}, and [pool]
+    and [dirty] are ignored.  The asynchronous disciplines are defined
+    by their sequential activation order and ignore both runtime and
+    pool.
 
     [dirty] (default [true]) permits the change-driven fast path: for
-    {!Synchronous} and {!Rotor} rounds of a {e deterministic} automaton,
-    only nodes whose closed neighbourhood changed since their last step
-    are re-stepped ({!Network.sync_step_dirty} /
-    {!Network.rotor_step_dirty}), which is provably outcome- and
-    round-count-preserving.  It is ignored — naive stepping is used —
-    for probabilistic automata (skipping shifts the rng draw sequence)
-    and for the random-order and adversarial disciplines.  Pass
-    [~dirty:false] to force naive stepping, e.g. when benchmarking the
-    per-activation cost itself or differentially testing the fast
+    {!Synchronous} rounds through a runtime and {!Rotor} rounds of a
+    {e deterministic} automaton, only nodes whose closed neighbourhood
+    changed since their last step are re-stepped, which is provably
+    outcome- and round-count-preserving.  It is ignored — naive stepping
+    is used — for probabilistic automata (skipping shifts the rng draw
+    sequence) and for the random-order and adversarial disciplines.
+    Pass [~dirty:false] to force naive stepping, e.g. when benchmarking
+    the per-activation cost itself or differentially testing the fast
     path. *)

@@ -1,18 +1,23 @@
 (* One partition of a sharded network: a contiguous node range [lo, hi)
-   of the flat engine's state array, a translated view of the global CSR
-   slice, ghost buffers holding the last exchanged state of every remote
-   neighbour, and outbound message queues towards each peer shard.
+   of the flat engine's state array, ghost buffers holding the last
+   exchanged state of every remote neighbour, and outbound message
+   queues towards each peer shard.
 
-   The translation trick: the rows of a contiguous node range occupy a
-   contiguous slice [off.(lo) .. off.(hi)) of the global CSR, so one
-   [code] array parallel to that slice maps every adjacency slot to
-   either a local index (< n_local) or [n_local +] a ghost index.  A
-   view fill is then a straight loop over the slice — the same slots, in
-   the same order, with the same liveness filter as
-   [Graph.iter_neighbours] — reading only the shard's own slice of the
-   flat array and its own ghosts.  Only this shard's commit writes that
-   slice and no commit runs during a read phase, which is what makes the
-   sharded read phase race-free by construction. *)
+   A view fill walks the node's row of the global CSR — the same slots,
+   in the same order, with the same liveness filter as
+   [Graph.iter_neighbours] — and reads an owned neighbour straight from
+   the flat array and a remote one from its ghost.  The rows of a
+   contiguous node range occupy a contiguous slice [off.(lo) ..
+   off.(hi)) of the global CSR, so one [code] array parallel to that
+   slice gives each remote slot its ghost index.  Next states go to the
+   network's commit buffer, and a dirty round's stepped set is the
+   shard's slice of the network's frontier buffer, read in place: the
+   shards' ranges are disjoint, so shards on several domains never
+   touch the same cell.  Only this shard's commit writes its slice of
+   the flat array and no commit runs during a read phase, which is what
+   makes the sharded read phase race-free by construction.  A lone
+   shard has no ghosts and sends nothing, so it owns nothing of size n
+   and costs O(1) to lay out. *)
 
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
@@ -33,25 +38,30 @@ type 'q t = {
   id : int;
   lo : int;
   hi : int;  (* owned node range [lo, hi) *)
-  n_local : int;
-  slot0 : int;  (* global CSR slot base: off.(lo) *)
-  code : int array;
-      (* per slice slot: local target index, or n_local + ghost index *)
+  net : 'q Network.t;
+  csr : Graph.csr;
   states : 'q array;
       (* the flat engine's state array itself, not a copy: this shard
          reads and commits its owned cells [lo, hi) there *)
-  next : 'q array;  (* commit buffer, length n_local *)
+  slot0 : int;  (* global CSR slot base: off.(lo) *)
+  code : int array;
+      (* per slice slot with a remote target: its ghost index; [||] for
+         a shard without ghosts *)
   ghosts : 'q array;  (* frozen remote-boundary states *)
   ghost_ids : int array;  (* ghost index -> global node id, ascending *)
   (* outbound wiring, CSR over local nodes: entry j of node li names the
      peer shard and the ghost slot this node occupies there.  Entries of
-     one node ascend by peer shard. *)
+     one node ascend by peer shard.  [out_off] is [||] when no peer
+     holds a ghost of this shard's nodes. *)
   out_off : int array;
   out_peer : int array;
   out_slot : int array;
   outboxes : 'q queue array;  (* one per peer shard; self stays empty *)
-  frontier : int array;  (* global ids of the nodes stepped this round *)
-  mutable n_front : int;
+  mutable first : int;
+  mutable stop : int;
+      (* this round's stepped set: [first, stop) of the network's
+         frontier buffer, or every live owned node when [first < 0] *)
+  mutable stepped : int;  (* nodes stepped by the last read *)
   scratch : 'q View.t;
   mutable last_committed : int;  (* transitions committed last round *)
   mutable msgs_out : int;  (* cumulative messages enqueued *)
@@ -74,235 +84,255 @@ let queue_push q slot x =
 
 (* --- layout ------------------------------------------------------------ *)
 
+let make ~net ~csr ~id ~lo ~hi ~code ~ghost_ids ~out_off ~out_peer ~out_slot
+    ~outboxes =
+  let states = Network.raw_states net in
+  {
+    id;
+    lo;
+    hi;
+    net;
+    csr;
+    states;
+    slot0 = csr.Graph.csr_off.(lo);
+    code;
+    ghosts = Array.map (fun gid -> states.(gid)) ghost_ids;
+    ghost_ids;
+    out_off;
+    out_peer;
+    out_slot;
+    outboxes;
+    first = -1;
+    stop = 0;
+    stepped = 0;
+    scratch = View.scratch ();
+    last_committed = 0;
+    msgs_out = 0;
+  }
+
 (* Build all K shards for one boundary vector.  Inherently global: the
    outbound wiring of a shard is derived from the ghost lists of its
    peers.  O(n + total slice length) with two reusable n-sized scratch
    arrays; ghost lists are sorted so ghost indices (= message slots) are
-   a deterministic function of the partition alone. *)
-let build ~(csr : Graph.csr) ~boundaries ~(states : 'q array) : 'q t array =
+   a deterministic function of the partition alone.  One shard skips
+   all of it. *)
+let build ~net ~boundaries : 'q t array =
   let k = Array.length boundaries - 1 in
-  let n = Array.length states in
-  let off = csr.Graph.csr_off and tgt = csr.Graph.csr_tgt in
-  let owner = Array.make (max n 1) 0 in
-  for s = 0 to k - 1 do
-    for v = boundaries.(s) to boundaries.(s + 1) - 1 do
-      owner.(v) <- s
-    done
-  done;
-  (* pass 1: each shard's ghost set (remote endpoints of its slice) *)
-  let mark = Array.make (max n 1) (-1) in
-  let ghost_ids = Array.make k [||] in
-  for s = 0 to k - 1 do
-    let lo = boundaries.(s) and hi = boundaries.(s + 1) in
-    let buf = ref [] and cnt = ref 0 in
-    for i = off.(lo) to off.(hi) - 1 do
-      let w = tgt.(i) in
-      if (w < lo || w >= hi) && mark.(w) <> s then begin
-        mark.(w) <- s;
-        buf := w :: !buf;
-        incr cnt
-      end
+  let csr = Graph.csr (Network.graph net) in
+  let n = Array.length (Network.raw_states net) in
+  if k = 1 then
+    [|
+      make ~net ~csr ~id:0 ~lo:0 ~hi:n ~code:[||] ~ghost_ids:[||] ~out_off:[||]
+        ~out_peer:[||] ~out_slot:[||] ~outboxes:[||];
+    |]
+  else begin
+    let off = csr.Graph.csr_off and tgt = csr.Graph.csr_tgt in
+    let owner = Array.make (max n 1) 0 in
+    for s = 0 to k - 1 do
+      for v = boundaries.(s) to boundaries.(s + 1) - 1 do
+        owner.(v) <- s
+      done
     done;
-    let ids = Array.make !cnt 0 in
-    List.iteri (fun i w -> ids.(i) <- w) !buf;
-    Array.sort compare ids;
-    ghost_ids.(s) <- ids
-  done;
-  (* pass 2: outbound wiring — shard p's ghost j for node gid means the
-     owner of gid sends (slot j, state) to p whenever gid changes.
-     Iterating p then j ascending makes each node's entries ascend by
-     peer, deterministically. *)
-  let out_deg =
-    Array.init k (fun s -> Array.make (boundaries.(s + 1) - boundaries.(s)) 0)
-  in
-  Array.iteri
-    (fun _p ids ->
-      Array.iter
-        (fun gid ->
-          let o = owner.(gid) in
-          let li = gid - boundaries.(o) in
-          out_deg.(o).(li) <- out_deg.(o).(li) + 1)
-        ids)
-    ghost_ids;
-  let out_off =
-    Array.init k (fun o ->
-        let nl = boundaries.(o + 1) - boundaries.(o) in
-        let a = Array.make (nl + 1) 0 in
-        for i = 0 to nl - 1 do
-          a.(i + 1) <- a.(i) + out_deg.(o).(i)
-        done;
-        a)
-  in
-  let out_peer =
-    Array.init k (fun o -> Array.make out_off.(o).(Array.length out_off.(o) - 1) 0)
-  in
-  let out_slot = Array.map Array.copy out_peer in
-  let out_pos =
-    Array.init k (fun o -> Array.sub out_off.(o) 0 (Array.length out_off.(o) - 1))
-  in
-  Array.iteri
-    (fun p ids ->
-      Array.iteri
-        (fun j gid ->
-          let o = owner.(gid) in
-          let li = gid - boundaries.(o) in
-          let c = out_pos.(o).(li) in
-          out_peer.(o).(c) <- p;
-          out_slot.(o).(c) <- j;
-          out_pos.(o).(li) <- c + 1)
-        ids)
-    ghost_ids;
-  (* outbox s -> p carries at most one message per ghost that p holds of
-     a node of s per round (a node commits at most once), so sizing it
-     to that count here means steady-state pushes never grow it *)
-  let out_cap = Array.init k (fun _ -> Array.make k 0) in
-  Array.iteri
-    (fun p ids ->
-      Array.iter
-        (fun gid ->
-          let o = owner.(gid) in
-          out_cap.(o).(p) <- out_cap.(o).(p) + 1)
-        ids)
-    ghost_ids;
-  (* pass 3: the shard records *)
-  let gpos = Array.make (max n 1) 0 in
-  Array.init k (fun s ->
+    (* pass 1: each shard's ghost set (remote endpoints of its slice) *)
+    let mark = Array.make (max n 1) (-1) in
+    let ghost_ids = Array.make k [||] in
+    for s = 0 to k - 1 do
       let lo = boundaries.(s) and hi = boundaries.(s + 1) in
-      let nl = hi - lo in
-      let gids = ghost_ids.(s) in
-      Array.iteri (fun j gid -> gpos.(gid) <- j) gids;
-      let slot0 = off.(lo) in
-      let nslots = off.(hi) - slot0 in
-      let code = Array.make nslots 0 in
-      for i = 0 to nslots - 1 do
-        let w = tgt.(slot0 + i) in
-        code.(i) <- (if w >= lo && w < hi then w - lo else nl + gpos.(w))
+      let buf = ref [] and cnt = ref 0 in
+      for i = off.(lo) to off.(hi) - 1 do
+        let w = tgt.(i) in
+        if (w < lo || w >= hi) && mark.(w) <> s then begin
+          mark.(w) <- s;
+          buf := w :: !buf;
+          incr cnt
+        end
       done;
-      {
-        id = s;
-        lo;
-        hi;
-        n_local = nl;
-        slot0;
-        code;
-        states;
-        next = (if nl = 0 then [||] else Array.make nl states.(lo));
-        ghosts = Array.init (Array.length gids) (fun j -> states.(gids.(j)));
-        ghost_ids = gids;
-        out_off = out_off.(s);
-        out_peer = out_peer.(s);
-        out_slot = out_slot.(s);
-        outboxes =
+      let ids = Array.make !cnt 0 in
+      List.iteri (fun i w -> ids.(i) <- w) !buf;
+      Array.sort compare ids;
+      ghost_ids.(s) <- ids
+    done;
+    (* pass 2: outbound wiring — shard p's ghost j for node gid means the
+       owner of gid sends (slot j, state) to p whenever gid changes.
+       Iterating p then j ascending makes each node's entries ascend by
+       peer, deterministically. *)
+    let out_deg =
+      Array.init k (fun s -> Array.make (boundaries.(s + 1) - boundaries.(s)) 0)
+    in
+    Array.iteri
+      (fun _p ids ->
+        Array.iter
+          (fun gid ->
+            let o = owner.(gid) in
+            let li = gid - boundaries.(o) in
+            out_deg.(o).(li) <- out_deg.(o).(li) + 1)
+          ids)
+      ghost_ids;
+    let out_off =
+      Array.init k (fun o ->
+          let nl = boundaries.(o + 1) - boundaries.(o) in
+          let a = Array.make (nl + 1) 0 in
+          for i = 0 to nl - 1 do
+            a.(i + 1) <- a.(i) + out_deg.(o).(i)
+          done;
+          a)
+    in
+    let out_peer =
+      Array.init k (fun o ->
+          Array.make out_off.(o).(Array.length out_off.(o) - 1) 0)
+    in
+    let out_slot = Array.map Array.copy out_peer in
+    let out_pos =
+      Array.init k (fun o ->
+          Array.sub out_off.(o) 0 (Array.length out_off.(o) - 1))
+    in
+    Array.iteri
+      (fun p ids ->
+        Array.iteri
+          (fun j gid ->
+            let o = owner.(gid) in
+            let li = gid - boundaries.(o) in
+            let c = out_pos.(o).(li) in
+            out_peer.(o).(c) <- p;
+            out_slot.(o).(c) <- j;
+            out_pos.(o).(li) <- c + 1)
+          ids)
+      ghost_ids;
+    (* outbox s -> p carries at most one message per ghost that p holds
+       of a node of s per round (a node commits at most once), so sizing
+       it to that count here means steady-state pushes never grow it *)
+    let out_cap = Array.init k (fun _ -> Array.make k 0) in
+    Array.iteri
+      (fun p ids ->
+        Array.iter
+          (fun gid ->
+            let o = owner.(gid) in
+            out_cap.(o).(p) <- out_cap.(o).(p) + 1)
+          ids)
+      ghost_ids;
+    (* pass 3: the shard records *)
+    let gpos = Array.make (max n 1) 0 in
+    let states = Network.raw_states net in
+    Array.init k (fun s ->
+        let lo = boundaries.(s) and hi = boundaries.(s + 1) in
+        let gids = ghost_ids.(s) in
+        Array.iteri (fun j gid -> gpos.(gid) <- j) gids;
+        let slot0 = off.(lo) in
+        let code =
+          if Array.length gids = 0 then [||]
+          else
+            Array.init (off.(hi) - slot0) (fun i ->
+                let w = tgt.(slot0 + i) in
+                if w >= lo && w < hi then -1 else gpos.(w))
+        in
+        let outboxes =
           Array.init k (fun p ->
               let c = out_cap.(s).(p) in
               {
                 q_slots = Array.make c 0;
                 q_states = (if c = 0 then [||] else Array.make c states.(lo));
                 q_len = 0;
-              });
-        frontier = Array.make nl 0;
-        n_front = 0;
-        scratch = View.scratch ();
-        last_committed = 0;
-        msgs_out = 0;
-      })
+              })
+        in
+        make ~net ~csr ~id:s ~lo ~hi ~code ~ghost_ids:gids ~out_off:out_off.(s)
+          ~out_peer:out_peer.(s) ~out_slot:out_slot.(s) ~outboxes)
+  end
 
 (* --- read phase -------------------------------------------------------- *)
 
-(* Fill one node's view from the owned slice + ghosts and step it.  Same
-   slots, same order, same liveness filter as [Graph.iter_neighbours]
-   over the global CSR — so the view (and hence the transition) is
-   bit-identical to the flat engine's. *)
-let read_one sh ~(csr : Graph.csr) ~(aut : 'q Fssga.t) ~rng v =
+(* Fill one node's view from the flat array and the ghosts and step it.
+   Same slots, same order, same liveness filter as
+   [Graph.iter_neighbours] over the global CSR — so the view (and hence
+   the transition) is bit-identical to the flat engine's. *)
+let read_one sh ~(aut : 'q Fssga.t) ~(next : 'q array) ~rng v =
   let scratch = sh.scratch in
   View.clear scratch;
-  let nl = sh.n_local and lo = sh.lo in
-  let states = sh.states and ghosts = sh.ghosts in
+  let lo = sh.lo and hi = sh.hi in
+  let states = sh.states in
+  let csr = sh.csr in
   let eid = csr.Graph.csr_eid
   and tgt = csr.Graph.csr_tgt
   and edge_alive = csr.Graph.csr_edge_alive
   and node_alive = csr.Graph.csr_node_alive in
   for i = csr.Graph.csr_off.(v) to csr.Graph.csr_off.(v + 1) - 1 do
-    if edge_alive.(eid.(i)) && node_alive.(tgt.(i)) then begin
-      let c = sh.code.(i - sh.slot0) in
-      View.push scratch (if c < nl then states.(lo + c) else ghosts.(c - nl))
-    end
+    let w = tgt.(i) in
+    if edge_alive.(eid.(i)) && node_alive.(w) then
+      View.push scratch
+        (if w >= lo && w < hi then states.(w)
+         else sh.ghosts.(sh.code.(i - sh.slot0)))
   done;
-  sh.next.(v - lo) <- aut.Fssga.step ~self:states.(v) ~rng scratch
+  next.(v) <- aut.Fssga.step ~self:states.(v) ~rng scratch
 
-(* This round's stepped set, ascending, is loaded into [frontier] before
-   the read: every live owned node for a naive round, or the shard's
-   slice of the sorted dirty frontier for a dirty one. *)
-let load_live sh ~(csr : Graph.csr) =
-  let node_alive = csr.Graph.csr_node_alive in
-  let kf = ref 0 in
-  for v = sh.lo to sh.hi - 1 do
-    if node_alive.(v) then begin
-      sh.frontier.(!kf) <- v;
-      incr kf
-    end
-  done;
-  sh.n_front <- !kf
+let load_live sh = sh.first <- -1
 
-let load_slice sh (front : int array) ~first ~stop =
-  Array.blit front first sh.frontier 0 (stop - first);
-  sh.n_front <- stop - first
+let load_slice sh ~first ~stop =
+  sh.first <- first;
+  sh.stop <- stop
 
-(* Step the loaded set.  Returns the stepped count — the shard's
-   activation contribution. *)
-let read sh ~(csr : Graph.csr) ~aut ~det ~shared_rng ~(rngs : Prng.t array) =
-  for i = 0 to sh.n_front - 1 do
-    let v = sh.frontier.(i) in
-    let rng = if det then shared_rng else rngs.(v) in
-    read_one sh ~csr ~aut ~rng v
-  done;
-  sh.n_front
+(* Step the loaded set. *)
+let read sh ~aut ~det ~shared_rng ~(rngs : Prng.t array) =
+  let next = Network.raw_next sh.net in
+  if sh.first < 0 then begin
+    let alive = sh.csr.Graph.csr_node_alive in
+    let c = ref 0 in
+    for v = sh.lo to sh.hi - 1 do
+      if alive.(v) then begin
+        incr c;
+        read_one sh ~aut ~next ~rng:(if det then shared_rng else rngs.(v)) v
+      end
+    done;
+    sh.stepped <- !c
+  end
+  else begin
+    let front = Network.raw_frontier sh.net in
+    for i = sh.first to sh.stop - 1 do
+      let v = front.(i) in
+      read_one sh ~aut ~next ~rng:(if det then shared_rng else rngs.(v)) v
+    done;
+    sh.stepped <- sh.stop - sh.first
+  end
 
-let stepped sh = sh.n_front
+let stepped sh = sh.stepped
 
 (* --- commit phase ------------------------------------------------------ *)
 
-let enqueue sh q' li =
-  for j = sh.out_off.(li) to sh.out_off.(li + 1) - 1 do
-    queue_push sh.outboxes.(sh.out_peer.(j)) sh.out_slot.(j) q';
-    sh.msgs_out <- sh.msgs_out + 1
-  done
-
-(* Quiet commit of the stepped set through the flat engine's per-node
-   helper (which writes the flat array and owns the dirty re-marks);
-   changed states are enqueued towards every peer holding a ghost of the
-   node.  Safe to run concurrently across shards — each touches only its
-   own range (plus benign dirty-flag races). *)
-let commit_quiet sh ~net =
-  let ch = ref 0 in
-  for i = 0 to sh.n_front - 1 do
-    let v = sh.frontier.(i) in
+(* Commit one stepped node through the flat engine's per-node write
+   (which owns the epoch, the write log, the dirty re-marks and the
+   recorder hook) and enqueue a changed state towards every peer holding
+   a ghost of it. *)
+let commit_one sh ~next v =
+  let q' = next.(v) in
+  let changed = Network.commit_node sh.net v q' in
+  if changed && Array.length sh.out_off > 0 then begin
     let li = v - sh.lo in
-    let q' = sh.next.(li) in
-    if Network.commit_node_quiet net v q' then begin
-      incr ch;
-      enqueue sh q' li
-    end
-  done;
-  sh.last_committed <- !ch;
-  !ch
+    for j = sh.out_off.(li) to sh.out_off.(li + 1) - 1 do
+      queue_push sh.outboxes.(sh.out_peer.(j)) sh.out_slot.(j) q';
+      sh.msgs_out <- sh.msgs_out + 1
+    done
+  end;
+  changed
 
-(* Recorded commit: full bookkeeping (recorder activation hook included)
-   per stepped node.  Called shard-ascending on one domain, so the
-   telemetry stream is the flat engine's, byte for byte. *)
-let commit_recorded sh ~net =
+(* Commit the stepped set, ascending.  Shards may commit concurrently
+   (inside [Network.commit_parallel]): each writes only its own range,
+   plus benign dirty-flag races.  Called shard-ascending on one domain,
+   the recorder's activation stream is the flat engine's, byte for
+   byte. *)
+let commit sh =
+  let next = Network.raw_next sh.net in
   let ch = ref 0 in
-  for i = 0 to sh.n_front - 1 do
-    let v = sh.frontier.(i) in
-    let li = v - sh.lo in
-    let q' = sh.next.(li) in
-    if Network.commit_node net v q' then begin
-      incr ch;
-      enqueue sh q' li
-    end
-  done;
-  sh.last_committed <- !ch;
-  !ch
+  if sh.first < 0 then begin
+    let alive = sh.csr.Graph.csr_node_alive in
+    for v = sh.lo to sh.hi - 1 do
+      if alive.(v) then if commit_one sh ~next v then incr ch
+    done
+  end
+  else begin
+    let front = Network.raw_frontier sh.net in
+    for i = sh.first to sh.stop - 1 do
+      if commit_one sh ~next front.(i) then incr ch
+    done
+  end;
+  sh.last_committed <- !ch
 
 (* --- exchange phase ---------------------------------------------------- *)
 
@@ -357,13 +387,13 @@ let deliver sh ~slot ~state =
    update is still in flight, its readers stepped against the stale
    value and went clean, and the delivery that would have woken them is
    among the messages dropped here. *)
-let resync sh ~net ~mark =
+let resync sh ~mark =
   let states = sh.states and ghosts = sh.ghosts and ids = sh.ghost_ids in
   for j = 0 to Array.length ids - 1 do
     let q = states.(ids.(j)) in
     if q != ghosts.(j) then begin
       ghosts.(j) <- q;
-      if mark then Network.mark_dirty_around net ids.(j)
+      if mark then Network.mark_dirty_around sh.net ids.(j)
     end
   done;
   for d = 0 to Array.length sh.outboxes - 1 do
@@ -375,11 +405,11 @@ let resync sh ~net ~mark =
    nodes it stepped last, which the rebalance policy reads. *)
 type 'q snap = { s_ghosts : 'q array; s_stepped : int }
 
-let snapshot sh = { s_ghosts = Array.copy sh.ghosts; s_stepped = sh.n_front }
+let snapshot sh = { s_ghosts = Array.copy sh.ghosts; s_stepped = sh.stepped }
 
 let restore_snap sh snap =
   Array.blit snap.s_ghosts 0 sh.ghosts 0 (Array.length sh.ghosts);
-  sh.n_front <- snap.s_stepped;
+  sh.stepped <- snap.s_stepped;
   Array.iter (fun q -> q.q_len <- 0) sh.outboxes
 
 (* --- telemetry accessors ------------------------------------------------ *)

@@ -3,68 +3,66 @@
 
     A shard owns a contiguous node range [[lo, hi)] of the flat
     engine's state array — there is no second copy of the owned states
-    — plus a translated slice of the global CSR, {e ghost} buffers
-    holding the last exchanged state of every remote neighbour, and one
-    outbound message queue per peer shard.  During the read phase a
-    shard touches only its owned slice of the flat array and its own
-    ghosts; only its own commit writes that slice, and no commit runs
+    — plus {e ghost} buffers holding the last exchanged state of every
+    remote neighbour, the ghost index of each of its remote adjacency
+    slots, and one outbound message queue per peer shard.  During the
+    read phase a shard reads its owned slice of the flat array, its own
+    ghosts and its slice of the network's frontier buffer, and writes
+    only its owned cells of the network's commit buffer; only its own
+    commit writes its slice of the state array, and no commit runs
     during a read phase.  Changed states reach peers exclusively through
     the queues, drained in deterministic (source shard, sequence) order
     at the exchange phase — the paper's S16 bounded channels, double
     buffered: this round's reads see last round's exchanged ghosts while
     this round's sends accumulate in the outboxes. *)
 
-module Graph := Symnet_graph.Graph
 module Prng := Symnet_prng.Prng
 
 type 'q t
 
-val build : csr:Graph.csr -> boundaries:int array -> states:'q array -> 'q t array
-(** Build the K shards of one partition ([boundaries] has K+1 entries,
-    ascending, from 0 to n).  [states] is the flat engine's array
-    ({!Network.raw_states}): the shards keep it, not a copy, and
-    initialise their ghosts from it; ghost indices — the message slots —
-    are a deterministic function of the partition alone. *)
+val build : net:'q Network.t -> boundaries:int array -> 'q t array
+(** Build the K shards of one partition of [net] ([boundaries] has K+1
+    entries, ascending, from 0 to n).  The shards keep the network's
+    state array ({!Network.raw_states}), not a copy, and initialise
+    their ghosts from it; ghost indices — the message slots — are a
+    deterministic function of the partition alone.  O(n + m) for K > 1;
+    O(1) for K = 1, whose one shard has no ghosts and sends nothing. *)
 
 (** {1 Round phases} *)
 
-val load_live : 'q t -> csr:Graph.csr -> unit
-(** Load every live owned node, ascending, as this round's stepped set
-    (a naive round). *)
+val load_live : 'q t -> unit
+(** Make every live owned node, ascending, this round's stepped set (a
+    naive round). *)
 
-val load_slice : 'q t -> int array -> first:int -> stop:int -> unit
-(** Load [front.(first .. stop-1)] as this round's stepped set: the
-    shard's contiguous slice of the ascending dirty frontier (every id
-    in the slice must be an owned live node). *)
+val load_slice : 'q t -> first:int -> stop:int -> unit
+(** Make [front.(first .. stop-1)] of the network's frontier buffer
+    ({!Network.raw_frontier}) this round's stepped set: the shard's
+    contiguous slice of the ascending dirty frontier (every id in the
+    slice must be an owned live node).  Read in place, not copied. *)
 
 val read :
   'q t ->
-  csr:Graph.csr ->
   aut:'q Symnet_core.Fssga.t ->
   det:bool ->
   shared_rng:Prng.t ->
   rngs:Prng.t array ->
-  int
+  unit
 (** Step the loaded set against the frozen snapshot (owned slice of the
-    flat array + ghosts).  Views
-    are bit-identical to [Graph.iter_neighbours] fills; probabilistic
-    nodes draw from [rngs.(v)], deterministic ones see [shared_rng] —
-    exactly the flat engine's rng selection.  Returns the stepped
-    count. *)
+    flat array + ghosts) into the network's commit buffer.  Views are
+    bit-identical to [Graph.iter_neighbours] fills; probabilistic nodes
+    draw from [rngs.(v)], deterministic ones see [shared_rng] — exactly
+    the flat engine's rng selection. *)
 
 val stepped : 'q t -> int
 (** Nodes stepped by the last {!read} (the frontier size). *)
 
-val commit_quiet : 'q t -> net:'q Network.t -> int
-(** Commit the stepped set through {!Network.commit_node_quiet} (which
-    writes the flat array) and enqueue changed states towards every peer
-    holding a ghost.  Concurrency-safe across shards.  Returns (and
-    latches, see {!last_committed}) the transition count. *)
-
-val commit_recorded : 'q t -> net:'q Network.t -> int
-(** Commit with full bookkeeping ({!Network.commit_node}: recorder hook,
-    shared transition counter).  Must be called shard-ascending on one
-    domain so telemetry matches the flat engine byte for byte. *)
+val commit : 'q t -> unit
+(** Commit the stepped set through {!Network.commit_node} and enqueue
+    changed states towards every peer holding a ghost; latches the
+    transition count ({!last_committed}).  Shards may commit
+    concurrently inside {!Network.commit_parallel}; called
+    shard-ascending on one domain, the recorder's activation stream
+    matches {!Network.sync_step}'s byte for byte. *)
 
 val drain : 'q t array -> int -> int
 (** [drain shards d] drains every shard's outbox towards [d] into [d]'s
@@ -92,7 +90,7 @@ val deliver : 'q t -> slot:int -> state:'q -> bool
 
 (** {1 Resynchronisation / snapshots} *)
 
-val resync : 'q t -> net:'q Network.t -> mark:bool -> unit
+val resync : 'q t -> mark:bool -> unit
 (** Refresh the ghosts from the flat state array and drop undelivered
     messages (after external writes moved the epoch).  Owned states need
     no refresh: they are the flat array.  Writes only the ghosts that

@@ -1,5 +1,6 @@
-(* The sharded runtime: K partition shards over one flat network, with
-   cross-shard state propagation through explicit message queues.
+(* The synchronous runtime: K partition shards over one flat network,
+   with cross-shard state propagation through explicit message queues.
+   K = 1 is the flat engine: one shard, no ghosts, no exchange.
 
    Round protocol (one [step]):
      1. resync  — if the flat engine's state epoch moved since our last
@@ -18,13 +19,13 @@
    Determinism: a node's view is a pure function of last round's
    committed states — the flat array for owned neighbours (no commit
    runs during a read phase), ghosts (exactly last round's exchanged
-   values) for remote ones — so every (shards,
-   domains) combination computes the same round as the flat engine, bit
-   for bit: states, change flags, counters, probabilistic draws (same
-   per-node streams) and, with a recorder attached, the same telemetry
-   bytes (the commit phase then runs sequentially in ascending node
-   order, exactly like the flat parallel engine).  The partition is
-   invisible to results, which is what makes the rebalance hook safe. *)
+   values) for remote ones — so every (shards, domains) combination
+   computes the same round as [Network.sync_step], bit for bit:
+   states, change flags, counters, probabilistic draws (same per-node
+   streams) and, with a recorder attached, the same telemetry bytes
+   (the commit phase then runs sequentially in ascending node order).
+   The partition is invisible to results, which is what makes the
+   rebalance hook safe. *)
 
 module Graph = Symnet_graph.Graph
 module Analysis = Symnet_graph.Analysis
@@ -87,8 +88,7 @@ let refresh_cut t =
 
 let layout t boundaries =
   t.boundaries <- boundaries;
-  t.shards <-
-    Shard.build ~csr:t.csr ~boundaries ~states:(Network.raw_states t.net);
+  t.shards <- Shard.build ~net:t.net ~boundaries;
   (* the partition moved: ghost slots changed, so any in-flight link
      traffic is meaningless — drop it (ghosts were just rebuilt from the
      authoritative flat states) and remap the cut channels *)
@@ -134,7 +134,7 @@ let resync t =
      marked their own neighbourhoods) *)
   let mark = Option.is_some t.link in
   for s = 0 to t.k - 1 do
-    Shard.resync t.shards.(s) ~net:t.net ~mark
+    Shard.resync t.shards.(s) ~mark
   done;
   (* ghosts are fresh copies of the authority again: in-flight link
      traffic is redundant, so restart the channels *)
@@ -207,7 +207,7 @@ let rebalance t =
          the old shards, which marks the neighbourhood of every ghost
          that differs from the authority (unlinked ghosts are exact) *)
       if Option.is_some t.link then
-        Array.iter (fun sh -> Shard.resync sh ~net:t.net ~mark:true) t.shards;
+        Array.iter (fun sh -> Shard.resync sh ~mark:true) t.shards;
       layout t nb
     end
   end
@@ -257,16 +257,23 @@ let load_frontier t =
   for s = 0 to t.k - 1 do
     let sh = t.shards.(s) in
     let stop = lower_bound front ~first:!p ~stop:f (Shard.hi sh) in
-    Shard.load_slice sh front ~first:!p ~stop;
+    Shard.load_slice sh ~first:!p ~stop;
     p := stop
   done
 
-let read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s =
+(* A lone shard's read is the flat engine's read phase, and is timed as
+   one. *)
+let read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s =
   let t0 = Span.now sp in
-  let sh = t.shards.(s) in
-  if not dirty then Shard.load_live sh ~csr:t.csr;
-  ignore (Shard.read sh ~csr:t.csr ~aut ~det ~shared_rng ~rngs);
-  Span.record sp Span.Shard_read ~shard:s ~round:rd ~t0
+  Shard.read t.shards.(s) ~aut ~det ~shared_rng ~rngs;
+  Span.record sp
+    (if t.k = 1 then Span.Read else Span.Shard_read)
+    ~shard:s ~round:rd ~t0
+
+let commit_shards t lo hi =
+  for s = lo to hi - 1 do
+    Shard.commit t.shards.(s)
+  done
 
 let drain_dst t ~sp ~rd d =
   let t0 = Span.now sp in
@@ -328,13 +335,49 @@ let exchange_link t lk ~dirty ~recorder ~sp ~rd =
   done;
   t.ghost_woke
 
+(* The exchange phase, begun at clock reading [c0]: drain inboxes in
+   (source shard, seq) order per destination (destinations are
+   independent, so this parallelizes), or run the link layer's
+   pipeline.  Returns whether the round must count as active for the
+   link's sake: the run must not quiesce while a channel still owes
+   deliveries or retransmits, nor on the round a late delivery just
+   changed a ghost. *)
+let exchange t ~par ~dirty ~recorder ~sp ~rd ~c0 =
+  let busy =
+    match t.link with
+    | Some lk ->
+        t.link_round <- t.link_round + 1;
+        let woke = exchange_link t lk ~dirty ~recorder ~sp ~rd in
+        Link.busy lk || woke
+    | None ->
+        (match par with
+        | Some pool ->
+            Domain_pool.run pool ~n:t.k (fun _slot lo hi ->
+                for d = lo to hi - 1 do
+                  drain_dst t ~sp ~rd d
+                done)
+        | None ->
+            for d = 0 to t.k - 1 do
+              drain_dst t ~sp ~rd d
+            done);
+        false
+  in
+  for d = 0 to t.k - 1 do
+    t.messages <- t.messages + t.per_dst.(d)
+  done;
+  let c1 = Clock.now_ns () in
+  t.exchange_ns <- t.exchange_ns + (c1 - c0);
+  if Recorder.enabled recorder then Recorder.exchange_ns recorder ~ns:(c1 - c0);
+  busy
+
 let step ?pool ?(dirty = false) t =
   let net = t.net in
   let recorder = Network.recorder net in
   let sp = Recorder.spans recorder in
   let rd = Recorder.round recorder in
   let rec_on = Recorder.enabled recorder in
-  if Network.state_epoch net <> t.seen_epoch then begin
+  (* a lone shard has no ghosts to resync *)
+  if t.k > 1 && Network.state_epoch net <> t.seen_epoch then begin
     let t0 = Span.now sp in
     resync t;
     Span.record sp Span.Shard_resync ~shard:0 ~round:rd ~t0
@@ -344,12 +387,15 @@ let step ?pool ?(dirty = false) t =
   let det = Fssga.is_deterministic aut in
   let shared_rng = Network.rng net in
   let rngs = if det then [||] else Network.raw_node_rngs net in
+  (* the commit buffer is allocated at its first use: here, before
+     shards on other domains fill it *)
+  ignore (Network.raw_next net);
   let k = t.k in
   let shards = t.shards in
   let par =
     match pool with
     | Some pool
-      when Domain_pool.size pool > 1
+      when k > 1 && Domain_pool.size pool > 1
            && Array.length (Network.raw_states net) >= Network.par_cutoff net
       -> Some pool
     | _ -> None
@@ -357,22 +403,23 @@ let step ?pool ?(dirty = false) t =
   let c0 = Clock.now_ns () in
   (* frontier: the flags are consumed here (cleared as the frontier is
      taken), so commit-phase re-marks of changed neighbourhoods are never
-     lost — the flat dirty order *)
+     lost *)
   if dirty then begin
     let t0 = Span.now sp in
     load_frontier t;
     Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0
-  end;
+  end
+  else Array.iter Shard.load_live shards;
   (* read: shard-local, frozen snapshot, parallel over the pool *)
   (match par with
   | Some pool ->
       Domain_pool.run pool ~n:k (fun _slot lo hi ->
           for s = lo to hi - 1 do
-            read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s
+            read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s
           done)
   | None ->
       for s = 0 to k - 1 do
-        read_shard t ~aut ~det ~shared_rng ~rngs ~dirty ~sp ~rd s
+        read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s
       done);
   let stepped = ref 0 in
   for s = 0 to k - 1 do
@@ -382,78 +429,29 @@ let step ?pool ?(dirty = false) t =
   if dirty then Recorder.frontier recorder ~size:!stepped;
   let c1 = Clock.now_ns () in
   t.read_ns <- t.read_ns + (c1 - c0);
-  (* commit: to the flat array (the authority) and the outboxes *)
-  let any =
-    if rec_on then begin
-      (* sequential, shard- then node-ascending = flat ascending order:
-         the recorder's activation stream is byte-identical *)
+  (* commit: to the flat array (the authority) and the outboxes; with a
+     recorder, sequential in shard- then node-ascending order = flat
+     ascending order, so the activation stream is byte-identical *)
+  (match par with
+  | Some pool when not rec_on ->
+      Network.commit_parallel net pool ~n:k (fun _slot lo hi ->
+          commit_shards t lo hi)
+  | _ ->
       let t0 = Span.now sp in
-      let any = ref false in
-      for s = 0 to k - 1 do
-        if Shard.commit_recorded shards.(s) ~net > 0 then any := true
-      done;
-      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0;
-      !any
-    end
-    else begin
-      (match par with
-      | Some pool ->
-          (* concurrent re-marks would race on the dirty worklist, and
-             epoch bumps on the write log *)
-          Network.prepare_parallel_commit net;
-          Domain_pool.run pool ~n:k (fun _slot lo hi ->
-              for s = lo to hi - 1 do
-                ignore (Shard.commit_quiet shards.(s) ~net)
-              done)
-      | None ->
-          for s = 0 to k - 1 do
-            ignore (Shard.commit_quiet shards.(s) ~net)
-          done);
-      let ch = ref 0 in
-      for s = 0 to k - 1 do
-        ch := !ch + Shard.last_committed shards.(s)
-      done;
-      Network.add_transitions net !ch;
-      !ch > 0
-    end
-  in
+      commit_shards t 0 k;
+      Span.record sp Span.Commit ~shard:0 ~round:rd ~t0);
+  let ch = ref 0 in
+  for s = 0 to k - 1 do
+    ch := !ch + Shard.last_committed shards.(s)
+  done;
+  Network.add_transitions net !ch;
   let c2 = Clock.now_ns () in
   t.commit_ns <- t.commit_ns + (c2 - c1);
-  (* exchange: drain inboxes in (source shard, seq) order per
-     destination; destinations are independent, so this parallelizes *)
-  let links_busy, ghost_woke =
-    match t.link with
-    | Some lk ->
-        t.link_round <- t.link_round + 1;
-        let woke = exchange_link t lk ~dirty ~recorder ~sp ~rd in
-        (Link.busy lk, woke)
-    | None ->
-        (match par with
-        | Some pool ->
-            Domain_pool.run pool ~n:k (fun _slot lo hi ->
-                for d = lo to hi - 1 do
-                  drain_dst t ~sp ~rd d
-                done)
-        | None ->
-            for d = 0 to k - 1 do
-              drain_dst t ~sp ~rd d
-            done);
-        (false, false)
-  in
-  let msgs = ref 0 in
-  for d = 0 to k - 1 do
-    msgs := !msgs + t.per_dst.(d)
-  done;
-  t.messages <- t.messages + !msgs;
-  let c3 = Clock.now_ns () in
-  t.exchange_ns <- t.exchange_ns + (c3 - c2);
-  if rec_on then Recorder.exchange_ns recorder ~ns:(c3 - c2);
+  (* a lone shard has nothing to exchange *)
+  let busy = k > 1 && exchange t ~par ~dirty ~recorder ~sp ~rd ~c0:c2 in
   t.rounds <- t.rounds + 1;
   t.seen_epoch <- Network.state_epoch net;
-  (* in-flight traffic keeps the round "active": the run must not
-     quiesce while a channel still owes deliveries or retransmits, nor
-     on the round a late delivery just changed a ghost *)
-  any || links_busy || ghost_woke
+  !ch > 0 || busy
 
 (* --- checkpoint / restore ---------------------------------------------- *)
 
@@ -493,7 +491,7 @@ let restore t cp =
      flight when it was taken and that the reset just dropped: as in
      [resync], refresh them and wake their readers *)
   if Option.is_some t.link then
-    Array.iter (fun sh -> Shard.resync sh ~net:t.net ~mark:true) t.shards;
+    Array.iter (fun sh -> Shard.resync sh ~mark:true) t.shards;
   t.seen_epoch <- Network.state_epoch t.net
 
 (* --- accessors --------------------------------------------------------- *)

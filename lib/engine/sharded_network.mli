@@ -1,6 +1,9 @@
-(** Sharded synchronous runtime: the flat {!Network} engine's rounds,
+(** The synchronous runtime: the flat {!Network} engine's rounds,
     executed as K partition shards communicating through explicit
     double-buffered message queues (the paper's S16 bounded channels).
+    K = 1 is the flat engine: one shard, no ghosts, no exchange, and a
+    layout that costs O(1) to create; every synchronous round the
+    {!Runner} drives goes through one of these.
 
     The graph's node range is cut into K contiguous shards, each owning
     a slice of the flat state array (one state array, no per-shard
@@ -11,15 +14,18 @@
     telemetry), then a deterministic exchange draining each
     destination's inboxes in ascending (source shard, sequence) order.
 
-    Results are bit-identical to {!Network.sync_step} /
-    {!Network.sync_step_par} at {e every} (shards, domains) combination:
-    states, change flags, activation/transition counts, probabilistic
-    draws, and — when a recorder is attached — the recorded event bytes.
-    External writes to the flat engine (chaos faults, [set_state],
-    [restore]) land in the owned slices directly; they are detected
-    through {!Network.state_epoch}, and a resync at the next [step]
-    refreshes the ghosts — O(ghosts), not O(n) — so the sharded runtime
-    composes with the chaos engine and checkpointing unchanged. *)
+    Results are bit-identical to {!Network.sync_step} at {e every}
+    (shards, domains) combination: states, change flags,
+    activation/transition counts, probabilistic draws, and — when a
+    recorder is attached — the recorded event bytes.  A one-shard round
+    records the flat engine's spans ([frontier], [read], [commit]); a
+    K-shard round records [shard_read] per shard and, after the commit,
+    [shard_exchange] (or [link_exchange]) per destination.  External
+    writes to the flat engine (chaos faults, [set_state], [restore])
+    land in the owned slices directly; they are detected through
+    {!Network.state_epoch}, and a resync at the next [step] refreshes
+    the ghosts — O(ghosts), not O(n) — so the runtime composes with the
+    chaos engine and checkpointing unchanged. *)
 
 type 'q t
 
@@ -32,13 +38,13 @@ val create : ?rebalance_every:int -> ?imbalance:float -> shards:int -> 'q Networ
 
 val step : ?pool:Domain_pool.t -> ?dirty:bool -> 'q t -> bool
 (** Run one synchronous round.  [dirty] (default false) steps only the
-    dirty frontier, exactly like {!Network.sync_step_dirty} — the caller
-    must uphold the same soundness condition
-    ({!Network.dirty_step_sound}).  With [pool], the read, quiet-commit
-    and exchange phases parallelise over shards (the commit phase stays
-    sequential when a recorder is attached, to preserve telemetry byte
-    order); the flat engine's {!Network.par_cutoff} gates the parallel
-    path identically.  Returns [true] if any state changed. *)
+    dirty frontier (see {!Network.take_frontier}) — the caller must
+    uphold the soundness condition ({!Network.dirty_step_sound}).  With
+    [pool] and K > 1, the read, commit and exchange phases parallelise
+    over shards (the commit phase stays sequential when a recorder is
+    attached, to preserve telemetry byte order) on graphs of at least
+    {!Network.par_cutoff} nodes.  Returns [true] if any state changed,
+    or if link traffic is still in flight. *)
 
 val rebalance : 'q t -> unit
 (** Force a partition recut along current load quantiles (dead nodes

@@ -1,7 +1,6 @@
 type phase =
   | Round
   | Read
-  | Merge
   | Commit
   | Fault_apply
   | Checkpoint
@@ -19,7 +18,6 @@ type phase =
 let phase_name = function
   | Round -> "round"
   | Read -> "read"
-  | Merge -> "merge"
   | Commit -> "commit"
   | Fault_apply -> "fault_apply"
   | Checkpoint -> "checkpoint"
@@ -37,7 +35,6 @@ let phase_name = function
 let phase_tag = function
   | Round -> 0
   | Read -> 1
-  | Merge -> 2
   | Commit -> 3
   | Fault_apply -> 4
   | Checkpoint -> 5
@@ -55,7 +52,6 @@ let phase_tag = function
 let phase_of_tag = function
   | 0 -> Round
   | 1 -> Read
-  | 2 -> Merge
   | 3 -> Commit
   | 4 -> Fault_apply
   | 5 -> Checkpoint

@@ -1,9 +1,9 @@
 (** Allocation-free phase timing spans over a preallocated ring buffer.
 
-    A span is one timed interval of engine work — a whole round, one
-    shard of the parallel read phase, the merge of shard results, the
-    commit sweep, fault application, a checkpoint copy or a recovery —
-    stamped with the shard (domain slot) and round it belongs to.
+    A span is one timed interval of engine work — a whole round, the
+    read phase or one shard of it, the commit sweep, fault application,
+    a checkpoint copy or a recovery — stamped with the shard and round
+    it belongs to.
 
     The collector is built for the engine's hot path:
     - {!record} on a disabled collector ({!null}) is a single tag check;
@@ -20,9 +20,8 @@
 
 type phase =
   | Round  (** one full synchronous round (read + commit) *)
-  | Read  (** the read phase, or one shard of it ([shard] = domain slot) *)
-  | Merge  (** merging per-shard counters after a parallel read *)
-  | Commit  (** the commit sweep, sequential or one quiet shard *)
+  | Read  (** the read phase of a flat (one-shard) round *)
+  | Commit  (** the sequential commit sweep *)
   | Fault_apply  (** applying due faults / chaos actions / restarts *)
   | Checkpoint  (** copying network state into a checkpoint *)
   | Recovery  (** a recovery action (restore / reseed / degrade) *)

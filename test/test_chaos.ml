@@ -9,6 +9,7 @@ module Graph = Symnet_graph.Graph
 module Analysis = Symnet_graph.Analysis
 module Prng = Symnet_prng.Prng
 module Network = Symnet_engine.Network
+module Sharded = Symnet_engine.Sharded_network
 module Runner = Symnet_engine.Runner
 module Fault = Symnet_engine.Fault
 module Chaos = Symnet_engine.Chaos
@@ -122,15 +123,21 @@ let test_checkpoint_restore_dirty () =
      the runner does it *)
   let g = graph () in
   let net = Network.init ~rng:(Prng.create ~seed:4) g (sp 20) in
+  let runtime = Sharded.create ~shards:1 net in
+  let round () =
+    let changed = Sharded.step ~dirty:true runtime in
+    Audit.check ~runtime net;
+    changed
+  in
   for _ = 1 to 2 do
-    ignore (Network.sync_step_dirty net)
+    ignore (round ())
   done;
   let cp = Network.checkpoint net in
   let continue () =
     Network.mark_dirty_around net 2;
     Graph.remove_node g 2;
     Network.ack_graph_mutations net;
-    let flags = List.init 6 (fun _ -> Network.sync_step_dirty net) in
+    let flags = List.init 6 (fun _ -> round ()) in
     (flags, net_observe net)
   in
   let first = continue () in
@@ -235,12 +242,14 @@ let test_crash_restart_semantics () =
     let g = graph () in
     let net = Network.init ~rng:(Prng.create ~seed:8) g (sp 20) in
     let o =
-      Runner.run ~faults ~max_rounds:200
-        ~on_round:(fun ~round net ->
-          if faults <> [] && round <= 8 then
-            liveness :=
-              (round, Graph.is_live_node (Network.graph net) v) :: !liveness)
-        net
+      Audit.finish (fun ~on_round ->
+          Runner.start ~faults ~max_rounds:200
+            ~on_round:(fun ~round net ->
+              on_round ~round net;
+              if faults <> [] && round <= 8 then
+                liveness :=
+                  (round, Graph.is_live_node (Network.graph net) v) :: !liveness)
+            net)
     in
     (o, Network.states net)
   in
@@ -270,10 +279,11 @@ let test_corrupt_state_heals () =
     ]
   in
   let o =
-    Runner.run ~faults
-      ~corrupt:(fun _rng net v ->
-        { (Network.state net v) with A.Shortest_paths.label = 20 })
-      ~max_rounds:200 net
+    Audit.finish (fun ~on_round ->
+        Runner.start ~faults
+          ~corrupt:(fun _rng net v ->
+            { (Network.state net v) with A.Shortest_paths.label = 20 })
+          ~max_rounds:200 ~on_round net)
   in
   Alcotest.(check int) "both corruptions landed" 2 o.Runner.faults_applied;
   Alcotest.(check bool) "quiesced" true o.Runner.quiesced;

@@ -12,6 +12,7 @@ module Sharded = Symnet_engine.Sharded_network
 module Runner = Symnet_engine.Runner
 module Chaos = Symnet_engine.Chaos
 module Link = Symnet_engine.Link
+module Domain_pool = Symnet_engine.Domain_pool
 module Obs = Symnet_obs
 module A = Symnet_algorithms
 
@@ -35,6 +36,11 @@ let chaos_of_spec ~seed spec =
   | Ok c -> c
   | Error e -> Alcotest.failf "chaos spec rejected: %s" e
 
+(* [Runner.run] on a pool of [domains], auditing the dirty set after
+   every round and at the end of the session. *)
+let audited_run ~domains start =
+  Domain_pool.with_pool ~domains (fun pool -> Audit.finish (start ~pool))
+
 (* Run with a buffer-sink recorder so the full event stream is part of
    the identity being compared. *)
 let drive ~seed ~spec ~shards ~domains (n, extra) =
@@ -45,7 +51,9 @@ let drive ~seed ~spec ~shards ~domains (n, extra) =
   let recorder = Obs.Recorder.create ~sink:(Obs.Events.buffer buf) () in
   let chaos = chaos_of_spec ~seed spec in
   let outcome =
-    Runner.run ~chaos ~max_rounds:200 ~recorder ~domains ~shards net
+    audited_run ~domains (fun ~pool ~on_round ->
+        Runner.start ~chaos ~max_rounds:200 ~recorder ~pool ~shards ~on_round
+          net)
   in
   ( outcome.Runner.rounds,
     outcome.Runner.activations,
@@ -88,7 +96,10 @@ let prop_reliable_drop_matches_flat =
             chaos_of_spec ~seed:0xcafe
               "link=drop:p=0.05:reliable=true;link=delay:p=0.1:rounds=2"
           in
-          let o = Runner.run ~chaos ~max_rounds:400 ~shards ~domains net in
+          let o =
+            audited_run ~domains (fun ~pool ~on_round ->
+                Runner.start ~chaos ~max_rounds:400 ~shards ~pool ~on_round net)
+          in
           o.Runner.quiesced && Network.states net = flat)
         [ (1, 1); (3, 1); (3, 2) ])
 
@@ -106,12 +117,17 @@ let replays ~seed ~link_seed ~before ~steps ~dirty ~rebalance_every ~spec
   Network.set_par_cutoff net 0;
   let sh = Sharded.create ~rebalance_every ~imbalance:1.01 ~shards:3 net in
   Sharded.configure_link sh ~seed:link_seed spec;
+  let round () =
+    let changed = Sharded.step ~dirty sh in
+    Audit.check ~runtime:sh net;
+    changed
+  in
   for _ = 1 to before do
-    ignore (Sharded.step ~dirty sh)
+    ignore (round ())
   done;
   let cp = Sharded.checkpoint sh in
   let steps () =
-    let cont = List.init steps (fun _ -> Sharded.step ~dirty sh) in
+    let cont = List.init steps (fun _ -> round ()) in
     (cont, Network.states net)
   in
   ignore (steps ());
@@ -185,13 +201,16 @@ let run_with_own_state_writes ~g ~seed ~spec ~shards ~every =
   Network.set_par_cutoff net 0;
   let chaos = chaos_of_spec ~seed spec in
   let pick = Prng.create ~seed:((7 * seed) + 1) in
-  let on_round ~round net =
-    if round mod every = 0 then begin
-      let v = Prng.int pick n in
-      Network.set_state net v (Network.state net v)
-    end
+  let o =
+    Audit.finish (fun ~on_round ->
+        Runner.start ~dirty:true ~shards ~chaos net
+          ~on_round:(fun ~round net ->
+            on_round ~round net;
+            if round mod every = 0 then begin
+              let v = Prng.int pick n in
+              Network.set_state net v (Network.state net v)
+            end))
   in
-  let o = Runner.run ~dirty:true ~shards ~chaos ~on_round net in
   (o, net)
 
 (* Without the marking, seed 15 on a 1,600-node path quiesces with 800
@@ -253,7 +272,10 @@ let run_with_recuts ~g ~seed ~spec ~shards ~rebalance_every =
   let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
   Network.set_par_cutoff net 0;
   let chaos = chaos_of_spec ~seed spec in
-  let o = Runner.run ~dirty:true ~shards ~rebalance_every ~chaos net in
+  let o =
+    Audit.finish (fun ~on_round ->
+        Runner.start ~dirty:true ~shards ~rebalance_every ~chaos ~on_round net)
+  in
   (o, net)
 
 (* Without the wake-up, seeds 3 and 11 of 1-30 quiesce with 1,204
@@ -291,6 +313,101 @@ let prop_recuts_reach_fixed_point =
           ~spec:"link=drop:p=0.3:reliable=true" ~shards ~rebalance_every
       in
       o.Runner.quiesced && Network.states net = flat)
+
+(* --- a session end drops in-flight traffic -------------------------- *)
+
+(* A session's end drops its runtime and channels, which loses the same
+   wake-up: a reader that stepped against a ghost whose update was in
+   flight ended clean, and only the dropped delivery would have
+   re-marked it.  A first dirty session on [shards] shards under
+   [spec] stops after [stop] rounds; a second session then resumes on
+   the same network, dirty and flat ([Some 1]), dirty and sharded, or
+   naive ([None]).  Corruption draws a uniform label in [0, n]. *)
+let stop_and_resume ~g ~seed ~spec ~shards ~stop resume =
+  let n = Graph.original_size g in
+  let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
+  let chaos = chaos_of_spec ~seed spec in
+  let corrupt rng net v =
+    { (Network.state net v) with A.Shortest_paths.label = Prng.int rng (n + 1) }
+  in
+  let (_ : Runner.outcome) =
+    Audit.finish (fun ~on_round ->
+        Runner.start ~dirty:true ~shards ~chaos ~corrupt ~max_rounds:stop
+          ~on_round net)
+  in
+  let o =
+    Audit.finish (fun ~on_round ->
+        match resume with
+        | Some k -> Runner.start ~dirty:true ~shards:k ~on_round net
+        | None -> Runner.start ~dirty:false ~on_round net)
+  in
+  (o, net)
+
+(* The pinned repro: shortest paths to node 0 on a grid, a burst of
+   corruptions and crash-restarts, reliable drops at p = 0.05, seed 3.
+   Before a linked session's end ran the marking ghost pass, the dirty
+   resume of the 60x60 grid stopped at round 175 quiesced with 1,684
+   wrong labels, flat or on 4 shards, and the 12x12 grid stopped at
+   round 20 with 47. *)
+let test_session_end_wakes_stale_ghost_readers () =
+  List.iter
+    (fun (side, at, width, stop) ->
+      let spec =
+        Printf.sprintf
+          "burst:at=%d:width=%d:count=1:kind=corrupt;\
+           burst:at=%d:width=%d:count=1:kind=crash:downtime=2;\
+           link=drop:p=0.05:reliable=true"
+          at width at width
+      in
+      List.iter
+        (fun k ->
+          let o, net =
+            stop_and_resume ~g:(Gen.grid ~rows:side ~cols:side) ~seed:3 ~spec
+              ~shards:4 ~stop (Some k)
+          in
+          let g = Network.graph net in
+          let dist = Symnet_graph.Analysis.distances g ~sources:[ 0 ] in
+          let wrong = ref 0 in
+          Graph.iter_nodes g (fun v ->
+              if A.Shortest_paths.label (Network.state net v) <> dist.(v) then
+                incr wrong);
+          let label = Printf.sprintf "%dx%d resumed on %d shards" side side k in
+          Alcotest.(check bool) (label ^ " quiesced") true o.Runner.quiesced;
+          Alcotest.(check int) (label ^ ": wrong labels") 0 !wrong)
+        [ 1; 4 ])
+    [ (60, 130, 40, 175); (12, 10, 5, 20) ]
+
+(* The property form: on random connected graphs, with corruption
+   bursts and reliable drops and delays, a sharded session stopped at a
+   random round and resumed in a fresh dirty session, flat or sharded,
+   ends where a naive resume and the fault-free run end. *)
+let prop_stop_and_resume_reaches_fixed_point =
+  QCheck.Test.make ~count:40
+    ~name:"stop and resume under reliable drops: fault-free fixed point"
+    QCheck.(
+      quad
+        (pair (int_range 8 40) (int_range 0 8))
+        (int_range 1 1000) (int_range 1 30)
+        (pair (int_range 2 4) bool))
+    (fun (((n, _) as gspec), seed, stop, (shards, flat_resume)) ->
+      let flat =
+        let net =
+          Network.init ~rng:(Prng.create ~seed) (graph_of gspec) (sp_automaton n)
+        in
+        let (_ : Runner.outcome) = Runner.run ~max_rounds:200 net in
+        Network.states net
+      in
+      let resume r =
+        let o, net =
+          stop_and_resume ~g:(graph_of gspec) ~seed
+            ~spec:
+              "burst:at=2:width=20:count=2:kind=corrupt;\
+               link=drop:p=0.3:reliable=true;link=delay:p=0.2:rounds=2"
+            ~shards ~stop r
+        in
+        o.Runner.quiesced && Network.states net = flat
+      in
+      resume (Some (if flat_resume then 1 else shards)) && resume None)
 
 (* --- spec grammar ---------------------------------------------------- *)
 
@@ -485,6 +602,9 @@ let suite =
     Alcotest.test_case "recut wakes stale-ghost readers" `Quick
       test_recut_wakes_stale_ghost_readers;
     QCheck_alcotest.to_alcotest prop_recuts_reach_fixed_point;
+    Alcotest.test_case "session end wakes stale-ghost readers" `Quick
+      test_session_end_wakes_stale_ghost_readers;
+    QCheck_alcotest.to_alcotest prop_stop_and_resume_reaches_fixed_point;
     Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrip;
     Alcotest.test_case "spec errors list grammar" `Quick
       test_unknown_key_errors_list_grammar;

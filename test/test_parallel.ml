@@ -1,14 +1,15 @@
-(* Differential tests for the parallel synchronous engine: sharding a
-   round over a domain pool must be bit-identical to the sequential
-   engine — per-round change flags, final states, activation counts,
-   round counts and telemetry — at every domain count, for deterministic
-   and probabilistic automata, with and without dirty-set scheduling,
-   and under mid-run faults. *)
+(* Differential tests for synchronous rounds on a domain pool: the
+   runtime with one shard per domain must be bit-identical to the
+   reference [Network.sync_step] — per-round change flags, final
+   states, activation counts, round counts and telemetry — at every
+   domain count, for deterministic and probabilistic automata, with and
+   without dirty-set scheduling, and under mid-run faults. *)
 
 module Gen = Symnet_graph.Gen
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
 module Network = Symnet_engine.Network
+module Sharded = Symnet_engine.Sharded_network
 module Runner = Symnet_engine.Runner
 module Domain_pool = Symnet_engine.Domain_pool
 module Fault = Symnet_engine.Fault
@@ -26,28 +27,44 @@ let census_automaton n = A.Census.automaton ~k:(A.Census.recommended_k n)
 
 (* Drive [rounds] synchronous rounds and capture everything observable:
    the change flag of every round, the final states, and the activation
-   count. *)
+   count.  Without a pool, a naive run is the reference
+   [Network.sync_step] and a dirty run the flat engine (the one-shard
+   runtime); with one, the runtime takes a shard per domain, as the
+   runner does.  Every round must leave the dirty set sound. *)
 let drive ?pool ~rounds ~dirty net =
   (* tiny graphs: defeat the auto-sequential cutoff so the parallel code
      path is actually exercised *)
   Network.set_par_cutoff net 0;
-  let step net =
-    match (pool, dirty) with
-    | None, false -> Network.sync_step net
-    | None, true -> Network.sync_step_dirty net
-    | Some pool, false -> Network.sync_step_par ~pool net
-    | Some pool, true -> Network.sync_step_dirty_par ~pool net
+  let step =
+    match pool with
+    | None when not dirty -> fun () -> Network.sync_step net
+    | _ ->
+        let shards = match pool with Some p -> Domain_pool.size p | None -> 1 in
+        let runtime = Sharded.create ~shards net in
+        fun () ->
+          let changed = Sharded.step ?pool ~dirty runtime in
+          Audit.check ~runtime net;
+          changed
   in
-  let flags = List.init rounds (fun _ -> step net) in
+  let flags = List.init rounds (fun _ -> step ()) in
   (flags, Network.states net, Network.activations net)
 
+(* A dirty run steps fewer nodes than the reference, but changes the
+   same states in the same rounds. *)
 let check_par_equals_seq ~mk ~rounds ~dirty =
   let seq = drive ~rounds ~dirty (mk ()) in
-  List.for_all
-    (fun domains ->
-      Domain_pool.with_pool ~domains (fun pool ->
-          drive ~pool ~rounds ~dirty (mk ()) = seq))
-    domain_counts
+  let same_rounds =
+    (not dirty)
+    ||
+    let flags, states, _ = seq and rflags, rstates, _ = drive ~rounds ~dirty:false (mk ()) in
+    flags = rflags && states = rstates
+  in
+  same_rounds
+  && List.for_all
+       (fun domains ->
+         Domain_pool.with_pool ~domains (fun pool ->
+             drive ~pool ~rounds ~dirty (mk ()) = seq))
+       domain_counts
 
 let case = QCheck.(triple (int_range 2 60) (int_range 0 60) (int_range 1 12))
 

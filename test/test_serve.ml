@@ -10,6 +10,7 @@ module Gen = Symnet_graph.Gen
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
 module Network = Symnet_engine.Network
+module Sharded = Symnet_engine.Sharded_network
 module Runner = Symnet_engine.Runner
 module Domain_pool = Symnet_engine.Domain_pool
 module Fssga = Symnet_core.Fssga
@@ -305,7 +306,7 @@ let restored cp g aut =
       Array.copy (Network.raw_dirty twin),
       (Network.activations twin, Network.transitions twin) )
   in
-  let changed = Network.sync_step_dirty twin in
+  let changed = Sharded.step ~dirty:true (Sharded.create ~shards:1 twin) in
   (after, changed, Array.copy (Network.raw_states twin), Network.activations twin)
 
 (* One network driven through random steps — a node killed (marked and
@@ -329,9 +330,10 @@ let prop_refreshed_view_and_checkpoint =
       let aut = sp (max n 1) in
       let net = Network.init ~rng:(Prng.create ~seed:1) g aut in
       let round = ref 0 in
+      let runtime = Sharded.create ~shards:1 net in
       let rounds k =
         for _ = 1 to k do
-          ignore (Network.sync_step_dirty net);
+          ignore (Sharded.step ~dirty:true runtime);
           incr round
         done
       in

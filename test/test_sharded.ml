@@ -1,10 +1,11 @@
 (* Differential tests for the sharded runtime: partitioning the graph
    into K shards with cross-shard message queues must be bit-identical
-   to the flat engine at every (shards, domains) combination — change
-   flags, final states, activation/transition counts and telemetry —
-   for deterministic and probabilistic automata, naive and dirty
-   stepping, under chaos, across checkpoint/restore, through partition
-   rebalances and external state writes. *)
+   to the reference [Network.sync_step] at every (shards, domains)
+   combination — change flags, final states, activation/transition
+   counts and telemetry — for deterministic and probabilistic automata,
+   naive and dirty stepping, under chaos, across checkpoint/restore,
+   through partition rebalances and external state writes.  Every dirty
+   round must leave the dirty set sound ([Audit]). *)
 
 module Gen = Symnet_graph.Gen
 module Graph = Symnet_graph.Graph
@@ -26,30 +27,44 @@ let graph_of (n, extra) =
 let sp_automaton n = A.Shortest_paths.automaton ~sinks:[ 0 ] ~cap:n
 let census_automaton n = A.Census.automaton ~k:(A.Census.recommended_k n)
 
-(* Flat reference: [rounds] synchronous rounds, everything observable. *)
-let drive_flat ~rounds ~dirty net =
-  let step net =
-    if dirty then Network.sync_step_dirty net else Network.sync_step net
-  in
-  let flags = List.init rounds (fun _ -> step net) in
+let observe net flags =
   (flags, Network.states net, Network.activations net, Network.transitions net)
 
 let drive_sharded ?pool ~shards ~rounds ~dirty net =
   Network.set_par_cutoff net 0;
-  let sh = Sharded.create ~shards net in
-  let flags = List.init rounds (fun _ -> Sharded.step ?pool ~dirty sh) in
-  (flags, Network.states net, Network.activations net, Network.transitions net)
+  let runtime = Sharded.create ~shards net in
+  observe net
+    (List.init rounds (fun _ ->
+         let changed = Sharded.step ?pool ~dirty runtime in
+         Audit.check ~runtime net;
+         changed))
+
+(* Flat reference: [rounds] synchronous rounds, everything observable.
+   Naive rounds are [Network.sync_step]; dirty ones the flat engine's
+   (one shard, one domain), which must match [Network.sync_step] in
+   everything but the activation count. *)
+let drive_flat ~rounds ~dirty net =
+  if dirty then drive_sharded ~shards:1 ~rounds ~dirty net
+  else observe net (List.init rounds (fun _ -> Network.sync_step net))
+
+let dirty_matches_reference ~mk ~rounds ~dirty flat =
+  (not dirty)
+  ||
+  let flags, states, _, tr = flat
+  and rflags, rstates, _, rtr = drive_flat ~rounds ~dirty:false (mk ()) in
+  flags = rflags && states = rstates && tr = rtr
 
 let check_sharded_equals_flat ~mk ~rounds ~dirty =
   let flat = drive_flat ~rounds ~dirty (mk ()) in
-  List.for_all
-    (fun shards ->
-      List.for_all
-        (fun domains ->
-          Domain_pool.with_pool ~domains (fun pool ->
-              drive_sharded ~pool ~shards ~rounds ~dirty (mk ()) = flat))
-        domain_counts)
-    shard_counts
+  dirty_matches_reference ~mk ~rounds ~dirty flat
+  && List.for_all
+       (fun shards ->
+         List.for_all
+           (fun domains ->
+             Domain_pool.with_pool ~domains (fun pool ->
+                 drive_sharded ~pool ~shards ~rounds ~dirty (mk ()) = flat))
+           domain_counts)
+       shard_counts
 
 let case = QCheck.(triple (int_range 2 60) (int_range 0 60) (int_range 1 12))
 
@@ -104,7 +119,12 @@ let prop_runner_chaos_trace_bytes =
         let recorder = Obs.Recorder.create ~sink:(Obs.Events.buffer buf) () in
         let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
         Network.set_par_cutoff net 0;
-        let o = Runner.run ~chaos ~max_rounds:30 ~recorder ~domains ?shards net in
+        let o =
+          Domain_pool.with_pool ~domains (fun pool ->
+              Audit.finish (fun ~on_round ->
+                  Runner.start ~chaos ~max_rounds:30 ~recorder ~pool ?shards
+                    ~on_round net))
+        in
         Obs.Recorder.close recorder;
         ( o.Runner.rounds,
           o.Runner.activations,
@@ -185,30 +205,29 @@ let prop_rebalance_preserves_results =
     QCheck.(triple (int_range 6 50) (int_range 0 50) (int_range 2 10))
     (fun (n, extra, rounds) ->
       let g = graph_of (n, extra) in
-      let flat =
-        drive_flat ~rounds ~dirty:true
-          (Network.init ~rng:(Prng.create ~seed:4) (Graph.copy g)
-             (sp_automaton n))
+      let mk () =
+        Network.init ~rng:(Prng.create ~seed:4) (Graph.copy g) (sp_automaton n)
       in
-      List.for_all
-        (fun shards ->
-          let net =
-            Network.init ~rng:(Prng.create ~seed:4) (Graph.copy g)
-              (sp_automaton n)
-          in
-          Network.set_par_cutoff net 0;
-          let sh = Sharded.create ~rebalance_every:1 ~imbalance:1.01 ~shards net in
-          let flags =
-            List.init rounds (fun i ->
-                (* an explicit recut every other round, on top of the
-                   policy, exercises migration paths deterministically *)
-                if i mod 2 = 1 then Sharded.rebalance sh;
-                Sharded.step ~dirty:true sh)
-          in
-          (flags, Network.states net, Network.activations net,
-           Network.transitions net)
-          = flat)
-        shard_counts)
+      let flat = drive_flat ~rounds ~dirty:true (mk ()) in
+      dirty_matches_reference ~mk ~rounds ~dirty:true flat
+      && List.for_all
+           (fun shards ->
+             let net = mk () in
+             Network.set_par_cutoff net 0;
+             let sh =
+               Sharded.create ~rebalance_every:1 ~imbalance:1.01 ~shards net
+             in
+             let flags =
+               List.init rounds (fun i ->
+                   (* an explicit recut every other round, on top of the
+                      policy, exercises migration paths deterministically *)
+                   if i mod 2 = 1 then Sharded.rebalance sh;
+                   let changed = Sharded.step ~dirty:true sh in
+                   Audit.check ~runtime:sh net;
+                   changed)
+             in
+             observe net flags = flat)
+           shard_counts)
 
 (* External writes between rounds (set_state behind the wrapper's back)
    are picked up through the epoch counter: the sharded run must follow
@@ -236,38 +255,37 @@ let prop_external_writes_resync =
                   A.Shortest_paths.label = Prng.int draw (n + 2) }
             | _ -> Network.state net v)
       in
-      let observe net flags =
-        (flags, Network.states net, Network.activations net,
-         Network.transitions net)
+      let mk () =
+        Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g) (sp_automaton n)
       in
-      let step_flat net =
-        if dirty then Network.sync_step_dirty net else Network.sync_step net
-      in
-      let flat =
-        let net =
-          Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g) (sp_automaton n)
+      let run ?pool ~shards ~dirty net =
+        let step =
+          if shards = 0 then fun () -> Network.sync_step net
+          else begin
+            let runtime = Sharded.create ~shards net in
+            fun () ->
+              let changed = Sharded.step ?pool ~dirty runtime in
+              Audit.check ~runtime net;
+              changed
+          end
         in
         observe net
           (List.init rounds (fun i ->
                poke net i;
-               step_flat net))
+               step ()))
       in
-      List.for_all
+      (* shards = 0: the reference [Network.sync_step] *)
+      let flat = run ~shards:(if dirty then 1 else 0) ~dirty (mk ()) in
+      (let f, st, _, tr = flat and rf, rst, _, rtr = run ~shards:0 ~dirty (mk ()) in
+       f = rf && st = rst && tr = rtr)
+      && List.for_all
         (fun shards ->
           List.for_all
             (fun domains ->
               Domain_pool.with_pool ~domains (fun pool ->
-                  let net =
-                    Network.init ~rng:(Prng.create ~seed:6) (Graph.copy g)
-                      (sp_automaton n)
-                  in
+                  let net = mk () in
                   Network.set_par_cutoff net 0;
-                  let sh = Sharded.create ~shards net in
-                  observe net
-                    (List.init rounds (fun i ->
-                         poke net i;
-                         Sharded.step ~pool ~dirty sh))
-                  = flat))
+                  run ~pool ~shards ~dirty net = flat))
             [ 1; 2 ])
         shard_counts)
 
