@@ -565,16 +565,17 @@ type par_sample = {
 }
 
 (* Drive [rounds] naive synchronous rounds at each domain count, through
-   the runtime the runner picks for a pool (one shard per domain), and
-   check the outcome is bit-identical to the 1-domain run: the claim is
+   the runtime the runner picks for a pool (one shard, each round cut
+   into equal slices per domain), and check the outcome is bit-identical
+   to the 1-domain run: the claim is
    semantic equivalence at every count, so the bench doubles as an
    end-to-end check on the real workloads. *)
 let measure_parallel ~workload ~rounds ~domain_counts mk =
   let drive domains =
     Domain_pool.with_pool ~domains (fun pool ->
         let net = mk () in
-        let sh = Sharded.create ~shards:domains net in
-        (* warm-up: allocates the commit buffer *)
+        let sh = Sharded.create ~shards:1 net in
+        (* warm-up: allocates the commit buffer and slot scratches *)
         ignore (Sharded.step ~pool sh);
         let changed = Array.make rounds false in
         let t0 = Unix.gettimeofday () in

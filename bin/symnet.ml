@@ -60,8 +60,9 @@ let domains_arg =
     & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Shard synchronous rounds over $(docv) domains (0 = one per \
-           recommended core).  The run is bit-identical at every count.")
+          "Spread synchronous rounds of 10,000 or more stepped nodes over \
+           $(docv) domains (0 = one per recommended core).  The run is \
+           bit-identical at every count.")
 
 let shards_arg =
   Arg.(

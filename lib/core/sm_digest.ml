@@ -24,8 +24,8 @@ let to_fssga d =
   let m = d.monoid in
   let step ~self ~rng view =
     (* One summary per activation: the baseline O(deg) rescan.  The
-       allocation keeps the step reentrant under sync_step_par; digest
-       backends avoid both the allocation and the scan. *)
+       allocation keeps the step reentrant under parallel shard reads;
+       digest backends avoid both the allocation and the scan. *)
     let acc = Sm_monoid.identity m in
     View.fold_monoid
       (fun () q -> Sm_monoid.absorb m acc (d.encode q))

@@ -12,12 +12,10 @@
     preallocated closure as the body to keep the whole round
     allocation-free.
 
-    Static chunking is deliberate: the engine's read phase writes
-    [next.(v)] for [v] in the shard only, per-shard scratch is indexed by
-    the slot number, and the telemetry merge relies on shard [s] covering
-    exactly {!bounds}[ ~n s] — a work-stealing pool would break all
-    three, and synchronous FSSGA rounds are embarrassingly uniform anyway
-    (every live node does one bounded-view step).
+    Static chunking is deliberate: the engine's phases write only the
+    cells of their own chunk, and synchronous FSSGA rounds are
+    embarrassingly uniform anyway (every live node does one bounded-view
+    step).
 
     Mutex acquisition/release around the hand-off gives the usual
     happens-before edges: writes made by the caller before {!run} are
@@ -38,12 +36,6 @@ val size : t -> int
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--domains 0] resolves to
     in the CLIs. *)
-
-val bounds : t -> n:int -> int -> int * int
-(** [bounds pool ~n slot] is the [(lo, hi)] half-open chunk of [0, n)
-    that slot [slot] executes under {!run} — exposed so callers can
-    revisit per-shard results (e.g. frontier segments) after the
-    barrier with the exact same partition. *)
 
 val run : t -> n:int -> (int -> int -> int -> unit) -> unit
 (** [run pool ~n f] executes [f slot lo hi] for every slot's chunk of

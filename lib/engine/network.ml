@@ -57,10 +57,9 @@ type 'q t = {
          start of a dirty round means the graph was mutated directly
          (outside the fault pipeline) and the whole set is stale *)
   mutable par_cutoff : int;
-      (* below this many nodes the sharded runtime steps its shards on
-         the calling domain: pool hand-off costs more than the round on
-         tiny graphs, and the two schedules are bit-identical by
-         contract *)
+      (* a round stepping fewer positions than this runs on the calling
+         domain: pool hand-off costs more than such a round, and the two
+         schedules are bit-identical by contract *)
   mutable epoch : int;
       (* bumped on every state write (commits, [set_state], [activate],
          [restore]); the sharded runtime latches it after each round and

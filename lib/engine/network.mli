@@ -79,10 +79,11 @@ val sync_step : 'q t -> bool
     the same snapshot.  Returns [true] if any state changed. *)
 
 val par_cutoff : 'q t -> int
-(** Node count below which {!Sharded_network.step} runs its shards on
-    the calling domain even when given a pool (default 10_000).  Purely
-    a scheduling decision — both schedules are bit-identical — so it
-    only affects wall-clock time. *)
+(** Round size below which {!Sharded_network.step} runs on the calling
+    domain even when given a pool (default 10_000): positions stepped,
+    that is owned nodes in a naive round and frontier entries in a dirty
+    one.  Purely a scheduling decision — both schedules are
+    bit-identical — so it only affects wall-clock time. *)
 
 val set_par_cutoff : 'q t -> int -> unit
 (** Override the cutoff; [0] forces the parallel path at any size

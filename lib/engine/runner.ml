@@ -55,23 +55,17 @@ type 'q session = {
 
 (* The one runtime a run's synchronous rounds go through, and whose
    checkpoints its rollbacks restore: [shards] when given, else one
-   shard per pool domain for a synchronous run, else one shard (the
-   flat engine).  A chaos spec may carry a channel-fault model; it is
+   shard (the flat engine, which a pool spreads by equal slices of each
+   round).  A chaos spec may carry a channel-fault model; it is
    installed only when [shards] is given, keyed off a seed decorrelated
    from the node-fault streams. *)
-let runtime ?pool ?rebalance_every ?shards ?chaos ~scheduler net =
-  let synchronous =
-    match scheduler with Scheduler.Synchronous -> true | _ -> false
-  in
+let runtime ?rebalance_every ?shards ?chaos ~scheduler net =
   let k =
-    match (shards, pool) with
-    | Some k, _ ->
-        if not synchronous then
-          invalid_arg "Runner.run: shards requires the synchronous scheduler";
-        k
-    | None, Some pool when synchronous && Domain_pool.size pool > 1 ->
-        Domain_pool.size pool
+    match (shards, scheduler) with
     | None, _ -> 1
+    | Some k, Scheduler.Synchronous -> k
+    | Some _, _ ->
+        invalid_arg "Runner.run: shards requires the synchronous scheduler"
   in
   let rt = Sharded_network.create ?rebalance_every ~shards:k net in
   (match (shards, chaos) with
@@ -86,7 +80,7 @@ let start ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
     ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
     ?(recorder = Obs.Recorder.null) ?pool ?shards ?rebalance_every ?stop
     ?on_round net =
-  let rt = runtime ?pool ?rebalance_every ?shards ?chaos ~scheduler net in
+  let rt = runtime ?rebalance_every ?shards ?chaos ~scheduler net in
   let g = Network.graph net in
   let automaton = Network.automaton net in
   Network.set_recorder net recorder;

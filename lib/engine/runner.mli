@@ -169,9 +169,9 @@ val run :
 
     Every {!Scheduler.Synchronous} round goes through one runtime
     ({!Sharded_network}), created when the run starts, in O(1) for one
-    shard.  Its shard count is [shards] when given; otherwise the pool's
-    domain count when the pool has more than one domain; otherwise 1,
-    which is the flat engine.  Results are bit-identical at every
+    shard.  Its shard count is [shards] when given, otherwise 1: the
+    flat engine, whose rounds a pool cuts into equal slices (see
+    {!Sharded_network.step}).  Results are bit-identical at every
     (shards, domains) combination — chaos, checkpointing and recovery
     included (rollbacks restore the partition too) — because all fault
     derivation and application happens sequentially at round boundaries

@@ -17,18 +17,27 @@ let name = function
 let activate_all net order =
   List.fold_left (fun changed v -> Network.activate net v || changed) false order
 
-let round ?pool ?(dirty = true) ?sharded t net ~round =
+let round ?pool ?dirty ?sharded t net ~round =
   (* Change-driven stepping engages automatically for the fixed-order
      disciplines running deterministic automata; it is provably
      outcome-preserving there and unsound elsewhere (probabilistic
      automata would see a shifted rng stream, random-order schedulers a
      shifted shuffle). *)
-  let dirty = dirty && Network.dirty_step_sound net in
+  let asked = dirty in
+  let dirty =
+    Option.value dirty ~default:true && Network.dirty_step_sound net
+  in
   match t with
   | Synchronous -> (
       match sharded with
       | Some sh -> Sharded_network.step ?pool ~dirty sh
-      | None -> Network.sync_step net)
+      | None ->
+          (* the dirty set of synchronous rounds lives in a runtime: an
+             explicit request without one would silently run naive *)
+          if asked = Some true then
+            invalid_arg
+              "Scheduler.round: dirty synchronous rounds need a runtime";
+          Network.sync_step net)
   | Rotor -> if dirty then Network.rotor_step_dirty net else Network.rotor_step net
   | Random_permutation ->
       let nodes = Array.of_list (Network.live_nodes net) in

@@ -35,10 +35,11 @@ val round :
     ({!Sharded_network.step}, bit-identical to {!Network.sync_step} at
     every (shards, domains) combination); it must wrap the same network.
     [pool] parallelises its rounds over a {!Domain_pool}.  Without a
-    runtime a {!Synchronous} round is {!Network.sync_step}, and [pool]
-    and [dirty] are ignored.  The asynchronous disciplines are defined
-    by their sequential activation order and ignore both runtime and
-    pool.
+    runtime a {!Synchronous} round is {!Network.sync_step}: [pool] is
+    ignored, and an explicit [~dirty:true] raises [Invalid_argument]
+    (the round could only be naive).  The asynchronous disciplines are
+    defined by their sequential activation order and ignore both
+    runtime and pool.
 
     [dirty] (default [true]) permits the change-driven fast path: for
     {!Synchronous} rounds through a runtime and {!Rotor} rounds of a

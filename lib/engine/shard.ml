@@ -51,8 +51,8 @@ type 'q t = {
   ghost_ids : int array;  (* ghost index -> global node id, ascending *)
   (* outbound wiring, CSR over local nodes: entry j of node li names the
      peer shard and the ghost slot this node occupies there.  Entries of
-     one node ascend by peer shard.  [out_off] is [||] when no peer
-     holds a ghost of this shard's nodes. *)
+     one node ascend by peer shard.  [out_off] is [||] for a lone
+     shard. *)
   out_off : int array;
   out_peer : int array;
   out_slot : int array;
@@ -159,13 +159,18 @@ let build ~net ~boundaries : 'q t array =
     let out_deg =
       Array.init k (fun s -> Array.make (boundaries.(s + 1) - boundaries.(s)) 0)
     in
+    (* outbox o -> p carries at most one message per ghost that p holds
+       of a node of o per round (a node commits at most once), so sizing
+       it to that count here means steady-state pushes never grow it *)
+    let out_cap = Array.init k (fun _ -> Array.make k 0) in
     Array.iteri
-      (fun _p ids ->
+      (fun p ids ->
         Array.iter
           (fun gid ->
             let o = owner.(gid) in
             let li = gid - boundaries.(o) in
-            out_deg.(o).(li) <- out_deg.(o).(li) + 1)
+            out_deg.(o).(li) <- out_deg.(o).(li) + 1;
+            out_cap.(o).(p) <- out_cap.(o).(p) + 1)
           ids)
       ghost_ids;
     let out_off =
@@ -198,18 +203,6 @@ let build ~net ~boundaries : 'q t array =
             out_pos.(o).(li) <- c + 1)
           ids)
       ghost_ids;
-    (* outbox s -> p carries at most one message per ghost that p holds
-       of a node of s per round (a node commits at most once), so sizing
-       it to that count here means steady-state pushes never grow it *)
-    let out_cap = Array.init k (fun _ -> Array.make k 0) in
-    Array.iteri
-      (fun p ids ->
-        Array.iter
-          (fun gid ->
-            let o = owner.(gid) in
-            out_cap.(o).(p) <- out_cap.(o).(p) + 1)
-          ids)
-      ghost_ids;
     (* pass 3: the shard records *)
     let gpos = Array.make (max n 1) 0 in
     let states = Network.raw_states net in
@@ -240,12 +233,14 @@ let build ~net ~boundaries : 'q t array =
 
 (* --- read phase -------------------------------------------------------- *)
 
-(* Fill one node's view from the flat array and the ghosts and step it.
-   Same slots, same order, same liveness filter as
+(* Fill one node's view in [scratch] from the flat array and the ghosts
+   and step it.  Same slots, same order, same liveness filter as
    [Graph.iter_neighbours] over the global CSR — so the view (and hence
-   the transition) is bit-identical to the flat engine's. *)
-let read_one sh ~(aut : 'q Fssga.t) ~(next : 'q array) ~rng v =
-  let scratch = sh.scratch in
+   the transition) is bit-identical to the flat engine's, as is the rng
+   the step sees. *)
+let read_one sh ~scratch ~(aut : 'q Fssga.t) ~det ~shared_rng
+    ~(rngs : Prng.t array) ~(next : 'q array) v =
+  let rng = if det then shared_rng else rngs.(v) in
   View.clear scratch;
   let lo = sh.lo and hi = sh.hi in
   let states = sh.states in
@@ -269,28 +264,57 @@ let load_slice sh ~first ~stop =
   sh.first <- first;
   sh.stop <- stop
 
-(* Step the loaded set. *)
-let read sh ~aut ~det ~shared_rng ~(rngs : Prng.t array) =
-  let next = Network.raw_next sh.net in
+(* Positions of the loaded set: owned node offsets from [lo] in a naive
+   round (dead ones are skipped), frontier offsets from [first] in a
+   dirty one. *)
+let size sh = if sh.first < 0 then sh.hi - sh.lo else sh.stop - sh.first
+
+(* Step positions [a, b) of the loaded set into [next]; returns the
+   nodes stepped.  Disjoint ranges write disjoint cells of [next]. *)
+let read_range sh ~scratch ~aut ~det ~shared_rng ~rngs ~next a b =
   if sh.first < 0 then begin
     let alive = sh.csr.Graph.csr_node_alive in
     let c = ref 0 in
-    for v = sh.lo to sh.hi - 1 do
+    for v = sh.lo + a to sh.lo + b - 1 do
       if alive.(v) then begin
         incr c;
-        read_one sh ~aut ~next ~rng:(if det then shared_rng else rngs.(v)) v
+        read_one sh ~scratch ~aut ~det ~shared_rng ~rngs ~next v
       end
     done;
-    sh.stepped <- !c
+    !c
   end
   else begin
     let front = Network.raw_frontier sh.net in
-    for i = sh.first to sh.stop - 1 do
-      let v = front.(i) in
-      read_one sh ~aut ~next ~rng:(if det then shared_rng else rngs.(v)) v
+    for i = sh.first + a to sh.first + b - 1 do
+      read_one sh ~scratch ~aut ~det ~shared_rng ~rngs ~next front.(i)
     done;
-    sh.stepped <- sh.stop - sh.first
+    b - a
   end
+
+(* A lone shard has no ghosts and no peers, so equal slices of its
+   loaded set read, and then commit, independently on a pool's slots:
+   balanced whatever the frontier's shape.  [run] spreads the slices;
+   [f a b] handles one and returns its nodes or transitions. *)
+let split sh ~run f =
+  if Array.length sh.outboxes > 0 then
+    invalid_arg "Shard: only a lone shard splits over a pool";
+  let count = Atomic.make 0 in
+  run ~n:(size sh) (fun _slot a b ->
+      ignore (Atomic.fetch_and_add count (f a b)));
+  Atomic.get count
+
+(* Step the loaded set into [next]; on a pool, each slice fills a view
+   scratch of its own. *)
+let read ?pool sh ~aut ~det ~shared_rng ~rngs ~next =
+  sh.stepped <-
+    (match pool with
+    | None ->
+        read_range sh ~scratch:sh.scratch ~aut ~det ~shared_rng ~rngs ~next 0
+          (size sh)
+    | Some pool ->
+        split sh ~run:(Domain_pool.run pool) (fun a b ->
+            read_range sh ~scratch:(View.scratch ()) ~aut ~det ~shared_rng
+              ~rngs ~next a b))
 
 let stepped sh = sh.stepped
 
@@ -312,27 +336,35 @@ let commit_one sh ~next v =
   end;
   changed
 
-(* Commit the stepped set, ascending.  Shards may commit concurrently
-   (inside [Network.commit_parallel]): each writes only its own range,
-   plus benign dirty-flag races.  Called shard-ascending on one domain,
-   the recorder's activation stream is the flat engine's, byte for
-   byte. *)
-let commit sh =
-  let next = Network.raw_next sh.net in
+(* Commit positions [a, b) of the stepped set from [next], ascending;
+   returns the transitions.  Shards may commit concurrently (inside
+   [Network.commit_parallel]): each writes only its own range, plus
+   benign dirty-flag races; so may the ranges of a lone shard, which
+   sends nothing.  Called shard-ascending on one domain, the recorder's
+   activation stream is the flat engine's, byte for byte. *)
+let commit_range sh ~next a b =
   let ch = ref 0 in
   if sh.first < 0 then begin
     let alive = sh.csr.Graph.csr_node_alive in
-    for v = sh.lo to sh.hi - 1 do
+    for v = sh.lo + a to sh.lo + b - 1 do
       if alive.(v) then if commit_one sh ~next v then incr ch
     done
   end
   else begin
     let front = Network.raw_frontier sh.net in
-    for i = sh.first to sh.stop - 1 do
+    for i = sh.first + a to sh.first + b - 1 do
       if commit_one sh ~next front.(i) then incr ch
     done
   end;
-  sh.last_committed <- !ch
+  !ch
+
+let commit ?pool sh ~next =
+  sh.last_committed <-
+    (match pool with
+    | None -> commit_range sh ~next 0 (size sh)
+    | Some pool ->
+        split sh ~run:(Network.commit_parallel sh.net pool) (fun a b ->
+            commit_range sh ~next a b))
 
 (* --- exchange phase ---------------------------------------------------- *)
 

@@ -41,28 +41,36 @@ val load_slice : 'q t -> first:int -> stop:int -> unit
     slice must be an owned live node).  Read in place, not copied. *)
 
 val read :
+  ?pool:Domain_pool.t ->
   'q t ->
   aut:'q Symnet_core.Fssga.t ->
   det:bool ->
   shared_rng:Prng.t ->
   rngs:Prng.t array ->
+  next:'q array ->
   unit
 (** Step the loaded set against the frozen snapshot (owned slice of the
-    flat array + ghosts) into the network's commit buffer.  Views are
-    bit-identical to [Graph.iter_neighbours] fills; probabilistic nodes
-    draw from [rngs.(v)], deterministic ones see [shared_rng] — exactly
-    the flat engine's rng selection. *)
+    flat array + ghosts) into [next], the network's commit buffer
+    ({!Network.raw_next}, fetched once by the caller before any shard
+    reads).  Views are bit-identical to [Graph.iter_neighbours] fills;
+    probabilistic nodes draw from [rngs.(v)], deterministic ones see
+    [shared_rng] — exactly the flat engine's rng selection.  [pool]
+    cuts a lone shard's loaded set (a K = 1 runtime: no ghosts, no
+    peers) into equal slices read on the pool's slots.
+    @raise Invalid_argument when given a pool with peers. *)
 
 val stepped : 'q t -> int
 (** Nodes stepped by the last {!read} (the frontier size). *)
 
-val commit : 'q t -> unit
-(** Commit the stepped set through {!Network.commit_node} and enqueue
-    changed states towards every peer holding a ghost; latches the
-    transition count ({!last_committed}).  Shards may commit
-    concurrently inside {!Network.commit_parallel}; called
-    shard-ascending on one domain, the recorder's activation stream
-    matches {!Network.sync_step}'s byte for byte. *)
+val commit : ?pool:Domain_pool.t -> 'q t -> next:'q array -> unit
+(** Commit the stepped set's states from [next] (the buffer its {!read}
+    filled) through {!Network.commit_node} and enqueue changed states
+    towards every peer holding a ghost; latches the transition count
+    ({!last_committed}).  Shards may commit concurrently inside
+    {!Network.commit_parallel}; called shard-ascending on one domain,
+    the recorder's activation stream matches {!Network.sync_step}'s byte
+    for byte.  [pool] splits a lone shard's commit as it splits its
+    {!read}, inside {!Network.commit_parallel}. *)
 
 val drain : 'q t array -> int -> int
 (** [drain shards d] drains every shard's outbox towards [d] into [d]'s

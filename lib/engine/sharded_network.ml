@@ -246,7 +246,7 @@ let lower_bound (front : int array) ~first ~stop bound =
   !a
 
 (* Take the dirty frontier and hand each shard its contiguous slice,
-   cut at the shard boundaries. *)
+   cut at the shard boundaries; returns the frontier's size. *)
 let load_frontier t =
   let net = t.net in
   Network.ensure_dirty_tracking net;
@@ -259,20 +259,21 @@ let load_frontier t =
     let stop = lower_bound front ~first:!p ~stop:f (Shard.hi sh) in
     Shard.load_slice sh ~first:!p ~stop;
     p := stop
-  done
+  done;
+  f
 
 (* A lone shard's read is the flat engine's read phase, and is timed as
-   one. *)
-let read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s =
+   one; on a pool it splits. *)
+let read_shard ?pool t ~aut ~det ~shared_rng ~rngs ~next ~sp ~rd s =
   let t0 = Span.now sp in
-  Shard.read t.shards.(s) ~aut ~det ~shared_rng ~rngs;
+  Shard.read ?pool t.shards.(s) ~aut ~det ~shared_rng ~rngs ~next;
   Span.record sp
     (if t.k = 1 then Span.Read else Span.Shard_read)
     ~shard:s ~round:rd ~t0
 
-let commit_shards t lo hi =
+let commit_shards t ~next lo hi =
   for s = lo to hi - 1 do
-    Shard.commit t.shards.(s)
+    Shard.commit t.shards.(s) ~next
   done
 
 let drain_dst t ~sp ~rd d =
@@ -387,39 +388,45 @@ let step ?pool ?(dirty = false) t =
   let det = Fssga.is_deterministic aut in
   let shared_rng = Network.rng net in
   let rngs = if det then [||] else Network.raw_node_rngs net in
-  (* the commit buffer is allocated at its first use: here, before
-     shards on other domains fill it *)
-  ignore (Network.raw_next net);
+  (* the commit buffer is allocated at its first use: fetch it here,
+     before shards on other domains fill it *)
+  let next = Network.raw_next net in
   let k = t.k in
   let shards = t.shards in
-  let par =
-    match pool with
-    | Some pool
-      when k > 1 && Domain_pool.size pool > 1
-           && Array.length (Network.raw_states net) >= Network.par_cutoff net
-      -> Some pool
-    | _ -> None
-  in
   let c0 = Clock.now_ns () in
   (* frontier: the flags are consumed here (cleared as the frontier is
      taken), so commit-phase re-marks of changed neighbourhoods are never
      lost *)
-  if dirty then begin
-    let t0 = Span.now sp in
-    load_frontier t;
-    Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0
-  end
-  else Array.iter Shard.load_live shards;
+  let work =
+    if dirty then begin
+      let t0 = Span.now sp in
+      let f = load_frontier t in
+      Span.record sp Span.Frontier ~shard:0 ~round:rd ~t0;
+      f
+    end
+    else begin
+      Array.iter Shard.load_live shards;
+      Array.length (Network.raw_states net)
+    end
+  in
+  (* a round that steps fewer than [par_cutoff] positions runs on the
+     calling domain: its work would not pay for the hand-offs *)
+  let par =
+    match pool with
+    | Some p when Domain_pool.size p > 1 && work >= Network.par_cutoff net ->
+        Some p
+    | _ -> None
+  in
   (* read: shard-local, frozen snapshot, parallel over the pool *)
   (match par with
-  | Some pool ->
+  | Some pool when k > 1 ->
       Domain_pool.run pool ~n:k (fun _slot lo hi ->
           for s = lo to hi - 1 do
-            read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s
+            read_shard t ~aut ~det ~shared_rng ~rngs ~next ~sp ~rd s
           done)
-  | None ->
+  | _ ->
       for s = 0 to k - 1 do
-        read_shard t ~aut ~det ~shared_rng ~rngs ~sp ~rd s
+        read_shard ?pool:par t ~aut ~det ~shared_rng ~rngs ~next ~sp ~rd s
       done);
   let stepped = ref 0 in
   for s = 0 to k - 1 do
@@ -433,12 +440,13 @@ let step ?pool ?(dirty = false) t =
      recorder, sequential in shard- then node-ascending order = flat
      ascending order, so the activation stream is byte-identical *)
   (match par with
+  | Some pool when not rec_on && k = 1 -> Shard.commit ~pool shards.(0) ~next
   | Some pool when not rec_on ->
       Network.commit_parallel net pool ~n:k (fun _slot lo hi ->
-          commit_shards t lo hi)
+          commit_shards t ~next lo hi)
   | _ ->
       let t0 = Span.now sp in
-      commit_shards t 0 k;
+      commit_shards t ~next 0 k;
       Span.record sp Span.Commit ~shard:0 ~round:rd ~t0);
   let ch = ref 0 in
   for s = 0 to k - 1 do

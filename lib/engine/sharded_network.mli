@@ -40,11 +40,15 @@ val step : ?pool:Domain_pool.t -> ?dirty:bool -> 'q t -> bool
 (** Run one synchronous round.  [dirty] (default false) steps only the
     dirty frontier (see {!Network.take_frontier}) — the caller must
     uphold the soundness condition ({!Network.dirty_step_sound}).  With
-    [pool] and K > 1, the read, commit and exchange phases parallelise
-    over shards (the commit phase stays sequential when a recorder is
-    attached, to preserve telemetry byte order) on graphs of at least
-    {!Network.par_cutoff} nodes.  Returns [true] if any state changed,
-    or if link traffic is still in flight. *)
+    [pool], a round that steps at least {!Network.par_cutoff} positions
+    runs in parallel: K > 1 shards spread their read, commit and
+    exchange phases one shard per slot; a lone shard, which has no
+    ghosts and no peers, cuts its stepped set into equal slices per
+    slot for the read and commit phases, so the work is balanced
+    whatever the frontier's shape.  The commit phase stays sequential
+    when a recorder is attached, to preserve telemetry byte order.
+    Returns [true] if any state changed, or if link traffic is still in
+    flight. *)
 
 val rebalance : 'q t -> unit
 (** Force a partition recut along current load quantiles (dead nodes

@@ -11,6 +11,7 @@ module Prng = Symnet_prng.Prng
 module Network = Symnet_engine.Network
 module Runner = Symnet_engine.Runner
 module Scheduler = Symnet_engine.Scheduler
+module Sharded_network = Symnet_engine.Sharded_network
 module Fault = Symnet_engine.Fault
 module Sp = Symnet_algorithms.Shortest_paths
 
@@ -146,21 +147,35 @@ let test_direct_mutation_reconciles () =
 
 (* The scheduler must refuse the fast path for probabilistic automata:
    with a fixed seed, a run with [~dirty:true] must consume the rng
-   exactly like a naive run. *)
+   exactly like a naive run.  Synchronous rounds take the fast path
+   only through a runtime, so each run steps one.  The random walk's
+   walker changes state every round, so its draws survive dirty
+   stepping anyway; the coin flipper redraws at every node every round,
+   and a node skipped as clean would shift its own stream. *)
 let test_probabilistic_uses_naive () =
   let g = Gen.cycle 9 in
-  let run ~dirty =
-    let net =
-      Network.init ~rng:(Prng.create ~seed:11) g
-        (Symnet_algorithms.Random_walk.automaton ~start:0)
-    in
+  let run aut ~dirty =
+    let net = Network.init ~rng:(Prng.create ~seed:11) g aut in
+    let sharded = Sharded_network.create ~shards:1 net in
     for r = 1 to 40 do
-      ignore (Scheduler.round ~dirty Scheduler.Synchronous net ~round:r)
+      ignore
+        (Scheduler.round ~dirty ~sharded Scheduler.Synchronous net ~round:r)
     done;
     List.map snd (Network.states net)
   in
+  let walk = Symnet_algorithms.Random_walk.automaton ~start:0 in
+  let coin =
+    {
+      Symnet_core.Fssga.name = "coin";
+      init = (fun _ _ -> false);
+      step = (fun ~self:_ ~rng _ -> Prng.bool rng);
+      deterministic = false;
+    }
+  in
   Alcotest.(check bool) "identical trajectories" true
-    (run ~dirty:true = run ~dirty:false)
+    (run walk ~dirty:true = run walk ~dirty:false);
+  Alcotest.(check bool) "identical coin flips" true
+    (run coin ~dirty:true = run coin ~dirty:false)
 
 let suite =
   [

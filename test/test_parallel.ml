@@ -1,9 +1,10 @@
 (* Differential tests for synchronous rounds on a domain pool: the
-   runtime with one shard per domain must be bit-identical to the
-   reference [Network.sync_step] — per-round change flags, final
-   states, activation counts, round counts and telemetry — at every
-   domain count, for deterministic and probabilistic automata, with and
-   without dirty-set scheduling, and under mid-run faults. *)
+   one-shard runtime, each round cut into equal slices over the pool,
+   must be bit-identical to the reference [Network.sync_step] —
+   per-round change flags, final states, activation counts, round counts
+   and telemetry — at every domain count, for deterministic and
+   probabilistic automata, with and without dirty-set scheduling, and
+   under mid-run faults. *)
 
 module Gen = Symnet_graph.Gen
 module Graph = Symnet_graph.Graph
@@ -29,17 +30,17 @@ let census_automaton n = A.Census.automaton ~k:(A.Census.recommended_k n)
    the change flag of every round, the final states, and the activation
    count.  Without a pool, a naive run is the reference
    [Network.sync_step] and a dirty run the flat engine (the one-shard
-   runtime); with one, the runtime takes a shard per domain, as the
-   runner does.  Every round must leave the dirty set sound. *)
-let drive ?pool ~rounds ~dirty net =
+   runtime); with one, the one-shard runtime spreads each round over
+   the pool, as the runner's does.  Every round must leave the dirty set
+   sound. *)
+let drive ?pool ?(cutoff = 0) ?(shards = 1) ~rounds ~dirty net =
   (* tiny graphs: defeat the auto-sequential cutoff so the parallel code
      path is actually exercised *)
-  Network.set_par_cutoff net 0;
+  Network.set_par_cutoff net cutoff;
   let step =
     match pool with
     | None when not dirty -> fun () -> Network.sync_step net
     | _ ->
-        let shards = match pool with Some p -> Domain_pool.size p | None -> 1 in
         let runtime = Sharded.create ~shards net in
         fun () ->
           let changed = Sharded.step ?pool ~dirty runtime in
@@ -92,6 +93,32 @@ let prop_probabilistic_naive =
       check_par_equals_seq ~rounds ~dirty:false ~mk:(fun () ->
           Network.init ~rng:(Prng.create ~seed:3) (Graph.copy g)
             (census_automaton n)))
+
+(* A pool takes only the rounds that step at least [par_cutoff]
+   positions.  With the cutoff inside the range of frontier sizes, a
+   dirty run mixes pooled rounds with calling-domain ones (each pooled
+   commit leaves the next frontier to a flag rescan), on one shard and
+   on three, and must still match the reference round for round. *)
+let prop_mixed_round_sizes =
+  QCheck.Test.make ~name:"parallel = sequential (dirty, mixed round sizes)"
+    ~count:30 case
+    (fun (n, extra, rounds) ->
+      let g = graph_of (n, extra) in
+      let mk () =
+        Network.init ~rng:(Prng.create ~seed:4) (Graph.copy g) (sp_automaton n)
+      in
+      let reference = drive ~rounds ~dirty:false (mk ()) in
+      let same (flags, states, _) (rflags, rstates, _) =
+        flags = rflags && states = rstates
+      in
+      List.for_all
+        (fun (domains, shards) ->
+          Domain_pool.with_pool ~domains (fun pool ->
+              same
+                (drive ~pool ~cutoff:(max 1 (n / 4)) ~shards ~rounds
+                   ~dirty:true (mk ()))
+                reference))
+        [ (2, 1); (4, 1); (2, 3) ])
 
 (* Full Runner.run with a mid-run fault schedule: outcome and final
    states must agree between ~domains:1 and every other count, for a
@@ -208,6 +235,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_deterministic_naive;
     QCheck_alcotest.to_alcotest prop_deterministic_dirty;
     QCheck_alcotest.to_alcotest prop_probabilistic_naive;
+    QCheck_alcotest.to_alcotest prop_mixed_round_sizes;
     QCheck_alcotest.to_alcotest prop_runner_faults_deterministic;
     QCheck_alcotest.to_alcotest prop_runner_faults_probabilistic;
     QCheck_alcotest.to_alcotest prop_runner_chaos_bit_identical;
