@@ -551,6 +551,20 @@ let start_words ~side =
 
 let start_words_bound = 512.
 
+(* Words [Gen.grid] allocates per edge, minor and major together: its
+   endpoint arrays, the validated copies and the sort's scratch, and the
+   CSR the graph keeps, about 13 words per edge.  A grid built as a pair list
+   deduplicated through a Hashtbl with one record per edge costs about
+   40, which fails the bound at both sizes. *)
+let build_words ~side =
+  Gc.minor ();
+  let w0 = heap_words () in
+  let g = Gen.grid ~rows:side ~cols:side in
+  let w1 = heap_words () in
+  (Graph.original_size g, (w1 -. w0) /. float_of_int (Graph.edge_count g))
+
+let build_words_bound = 16.
+
 (* --- parallel synchronous rounds ------------------------------------- *)
 
 type par_sample = {
@@ -946,6 +960,7 @@ type results = {
   r_refresh : (string * float) list;
       (* view + checkpoint refresh: mutation, words *)
   r_start : (int * float) list;  (* Runner.start: n, words per call *)
+  r_build : (int * float) list;  (* Gen.grid: n, words per edge *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -978,6 +993,7 @@ let ok r =
       fw <= freeze_words_bound fn)
   && List.for_all (fun (_, w) -> w <= refresh_words_bound) r.r_refresh
   && List.for_all (fun (_, w) -> w <= start_words_bound) r.r_start
+  && List.for_all (fun (_, w) -> w <= build_words_bound) r.r_build
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -1087,6 +1103,13 @@ let collect ?(smoke = false) ?domains () =
         sn w start_words_bound
         (if w <= start_words_bound then "ok" else "FAIL"))
     start;
+  let build = List.map (fun side -> build_words ~side) [ 100; 317 ] in
+  List.iter
+    (fun (bn, w) ->
+      Printf.printf "  Gen.grid build        n=%-6d %6.1f words/edge (bound %.0f): %s\n"
+        bn w build_words_bound
+        (if w <= build_words_bound then "ok" else "FAIL"))
+    build;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -1234,6 +1257,7 @@ let collect ?(smoke = false) ?domains () =
       r_freeze = freeze;
       r_refresh = refresh;
       r_start = start;
+      r_build = build;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -1352,6 +1376,18 @@ let doc_of r =
                    ("pass", Jsonx.Bool (w <= start_words_bound));
                  ])
              r.r_start) );
+      ( "build_alloc",
+        Jsonx.List
+          (List.map
+             (fun (bn, w) ->
+               Jsonx.Obj
+                 [
+                   ("n", Jsonx.Int bn);
+                   ("words_per_edge", Jsonx.Float w);
+                   ("bound", Jsonx.Float build_words_bound);
+                   ("pass", Jsonx.Bool (w <= build_words_bound));
+                 ])
+             r.r_build) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

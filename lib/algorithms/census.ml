@@ -8,6 +8,9 @@ let recommended_k n = (if n <= 1 then 1 else int_of_float (ceil (log (float_of_i
 
 let bit_is_set mask i = mask land (1 lsl (i - 1)) <> 0
 
+let mask_of = function Fresh _ -> 0 | Bits (_, m) -> m
+let absorb acc q = acc lor mask_of q
+
 let automaton ~k =
   if k < 1 || k > 60 then invalid_arg "Census.automaton: k in 1..60 required";
   let init _g _v = Fresh k in
@@ -26,14 +29,11 @@ let automaton ~k =
            semilattice operation on bit vectors, so the OR-join is a
            legal SM observation (per bit it is exactly the thresh atom
            "some initialized neighbour has bit j" — §5's infimum
-           functions, here a supremum in the subset lattice). *)
-        let mask_of = function Fresh _ -> 0 | Bits (_, m) -> m in
-        let mask' =
-          match View.map_join mask_of ( lor ) view with
-          | None -> mask
-          | Some nbrs -> mask lor nbrs
-        in
-        Bits (k, mask')
+           functions, here a supremum in the subset lattice), and with
+           identity 0 it is also a commutative-monoid fold.  A state is
+           allocated only when the mask grows. *)
+        let mask' = mask lor View.fold_monoid absorb 0 view in
+        if mask' = mask then self else Bits (k, mask')
   in
   { Fssga.name = "census"; init; step; deterministic = false }
 
@@ -41,8 +41,8 @@ module Sm_monoid = Symnet_core.Sm_monoid
 module Sm_digest = Symnet_core.Sm_digest
 
 (* The OR-join factored through a summary monoid: one cell holding the
-   OR of the encoded neighbour masks.  [Fresh] encodes to 0 — it
-   contributes nothing, exactly like [mask_of] in [automaton] — so the
+   OR of the encoded neighbour masks.  The encoding is [mask_of], as in
+   [automaton]: [Fresh] encodes to 0 and contributes nothing, so the
    digest backends transition bit-for-bit like the classic automaton,
    including the single geometric draw, which [decide] performs from
    the same per-node stream. *)
@@ -57,16 +57,17 @@ let digest ~k =
       ~finish:(fun st off -> st.(off))
       ()
   in
-  let encode = function Fresh _ -> 0 | Bits (_, m) -> m in
   let decide ~self ~rng summary =
     match self with
     | Fresh k -> (
         match Prng.geometric_bit rng ~max:k with
         | Some i -> Bits (k, 1 lsl (i - 1))
         | None -> Bits (k, 0))
-    | Bits (k, mask) -> Bits (k, mask lor Sm_monoid.get summary 0)
+    | Bits (k, mask) ->
+        let mask' = mask lor Sm_monoid.get summary 0 in
+        if mask' = mask then self else Bits (k, mask')
   in
-  Sm_digest.make ~name:"census" ~init:(fun _g _v -> Fresh k) ~monoid ~encode
+  Sm_digest.make ~name:"census" ~init:(fun _g _v -> Fresh k) ~monoid ~encode:mask_of
     ~decide ~deterministic:false
 
 let of_bits ~k mask =

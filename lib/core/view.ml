@@ -109,13 +109,3 @@ let fold_monoid f acc v =
     acc := f !acc v.buf.(i)
   done;
   !acc
-
-let map_join f j v =
-  if v.len = 0 then None
-  else begin
-    let acc = ref (f v.buf.(0)) in
-    for i = 1 to v.len - 1 do
-      acc := j !acc (f v.buf.(i))
-    done;
-    Some !acc
-  end

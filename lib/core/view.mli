@@ -101,12 +101,3 @@ val fold_monoid : ('acc -> 'q -> 'acc) -> 'acc -> 'q t -> 'acc
     multiplicities may (and do) count, e.g. saturating or modular
     counters per Lemma 3.8.  This is the primitive behind
     {!Sm_digest.to_fssga} and the election digest scan. *)
-
-val map_join : ('q -> 'p) -> ('p -> 'p -> 'p) -> 'q t -> 'p option
-(** [map_join f j v] is observationally [join_with j (map f v)] without
-    allocating the intermediate view — the allocation-free form of the
-    paper's infimum observations (min over neighbour labels in §2.2,
-    OR over bit vectors in §1).  Same caller obligation as {!join_with}:
-    [j] must be a semilattice operation {e on the image of [f]} —
-    associative, commutative, idempotent — so the result depends only on
-    the set of relabelled states present. *)

@@ -21,25 +21,30 @@ let star n =
   if n < 2 then invalid_arg "Gen.star: n >= 2 required";
   Graph.create ~n ~edges:(List.init (n - 1) (fun i -> (0, i + 1)))
 
-let double_star n =
-  if n < 2 then invalid_arg "Gen.double_star: n >= 2 required";
-  let edges = ref [ (0, 1) ] in
-  for v = 2 to n - 1 do
-    edges := ((if v mod 2 = 0 then 0 else 1), v) :: !edges
-  done;
-  Graph.create ~n ~edges:!edges
-
+(* Edge ids descend with the row-major scan (right edge, then down
+   edge, per node).  Every seeded trace over a grid depends on this
+   numbering; test/graph_ref.ml pins it. *)
 let grid ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid: positive dims required";
-  let id r c = (r * cols) + c in
-  let edges = ref [] in
+  let m = (rows * (cols - 1)) + ((rows - 1) * cols) in
+  let us = Array.make m 0 and vs = Array.make m 0 in
+  let id = ref m in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      if c + 1 < cols then edges := (id r c, id r (c + 1)) :: !edges;
-      if r + 1 < rows then edges := (id r c, id (r + 1) c) :: !edges
+      let v = (r * cols) + c in
+      if c + 1 < cols then begin
+        decr id;
+        us.(!id) <- v;
+        vs.(!id) <- v + 1
+      end;
+      if r + 1 < rows then begin
+        decr id;
+        us.(!id) <- v;
+        vs.(!id) <- v + cols
+      end
     done
   done;
-  Graph.create ~n:(rows * cols) ~edges:!edges
+  Graph.of_edges ~n:(rows * cols) us vs
 
 let hypercube ~dim =
   if dim < 1 then invalid_arg "Gen.hypercube: dim >= 1 required";
@@ -135,15 +140,27 @@ let gnp rng ~n ~p =
   done;
   Graph.create ~n ~edges:!edges
 
+module Int_table = Hashtbl.Make (Int)
+
 let random_connected rng ~n ~extra_edges =
   if n < 1 then invalid_arg "Gen.random_connected: n >= 1";
-  let present = Hashtbl.create (n + extra_edges) in
-  let edges = ref [] in
-  let add u v =
-    let u, v = if u < v then (u, v) else (v, u) in
-    if u <> v && not (Hashtbl.mem present (u, v)) then begin
-      Hashtbl.add present (u, v) ();
-      edges := (u, v) :: !edges;
+  let capacity = (n * (n - 1) / 2) - (n - 1) in
+  let target = min extra_edges capacity in
+  (* Pair (u, v), u < v, is keyed u * n + v.  Accepted pairs fill the
+     arrays from the end, so edge ids run newest first: every seeded
+     trace over a random graph depends on this numbering, which
+     test/graph_ref.ml pins. *)
+  let size = n - 1 + max 0 target in
+  let present = Int_table.create size in
+  let us = Array.make size 0 and vs = Array.make size 0 in
+  let first = ref size in
+  let add a b =
+    let u = if a < b then a else b and v = if a < b then b else a in
+    if u <> v && not (Int_table.mem present ((u * n) + v)) then begin
+      Int_table.add present ((u * n) + v) ();
+      decr first;
+      us.(!first) <- u;
+      vs.(!first) <- v;
       true
     end
     else false
@@ -151,8 +168,6 @@ let random_connected rng ~n ~extra_edges =
   for v = 1 to n - 1 do
     ignore (add (Prng.int rng v) v)
   done;
-  let capacity = (n * (n - 1) / 2) - (n - 1) in
-  let target = min extra_edges capacity in
   let added = ref 0 in
   (* Bounded retries: capacity check above guarantees progress is possible
      but we still cap attempts defensively for tiny dense graphs. *)
@@ -164,7 +179,8 @@ let random_connected rng ~n ~extra_edges =
       if add u v then incr added
     end
   done;
-  Graph.create ~n ~edges:!edges
+  let k = size - !first in
+  Graph.of_edges ~n (Array.sub us !first k) (Array.sub vs !first k)
 
 let random_geometric rng ~n ~radius =
   let pts = Array.init n (fun _ -> (Prng.float rng, Prng.float rng)) in
@@ -214,25 +230,6 @@ type stream = {
 
 let graph_of_stream s =
   Graph.of_adjacency ~n:s.stream_n ~degree:s.stream_degree ~iter:s.stream_iter
-
-let grid_stream ~rows ~cols =
-  if rows < 1 || cols < 1 then
-    invalid_arg "Gen.grid_stream: positive dims required";
-  let degree v =
-    let r = v / cols and c = v mod cols in
-    (if r > 0 then 1 else 0)
-    + (if r + 1 < rows then 1 else 0)
-    + (if c > 0 then 1 else 0)
-    + if c + 1 < cols then 1 else 0
-  in
-  let iter v f =
-    let r = v / cols and c = v mod cols in
-    if r > 0 then f (v - cols);
-    if c > 0 then f (v - 1);
-    if c + 1 < cols then f (v + 1);
-    if r + 1 < rows then f (v + cols)
-  in
-  { stream_n = rows * cols; stream_degree = degree; stream_iter = iter }
 
 let circulant_stream ~n ~offsets =
   if n < 2 then invalid_arg "Gen.circulant_stream: n >= 2 required";

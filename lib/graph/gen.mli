@@ -16,12 +16,9 @@ val complete : int -> Graph.t
 val star : int -> Graph.t
 (** Star K_{1,n-1} with centre 0.  [n >= 2]. *)
 
-val double_star : int -> Graph.t
-(** Two adjacent centres 0 and 1, leaves split evenly between them.
-    Useful for walks with two high-degree hubs.  [n >= 2]. *)
-
 val grid : rows:int -> cols:int -> Graph.t
-(** [rows * cols] grid; node [(r,c)] is [r * cols + c]. *)
+(** [rows * cols] grid; node [(r,c)] is [r * cols + c].  Built through
+    {!Graph.of_edges} from two endpoint arrays, with no edge list. *)
 
 val hypercube : dim:int -> Graph.t
 (** d-dimensional hypercube on [2^dim] nodes. *)
@@ -68,10 +65,10 @@ val random_bipartite :
 (** {1 Streamed generators}
 
     Families whose adjacency is computable per node in O(degree), so the
-    graph can be built through {!Graph.of_adjacency} — CSR rows filled
-    straight from the formula, shard by shard, with no intermediate edge
-    list.  This is the construction path for runs beyond what the
-    list-based generators can hold. *)
+    graph can be built through {!Graph.of_adjacency}: the stream fills
+    the endpoint arrays straight from the formula, and no edge list or
+    pair arrays are built first.  The multi-million-node sharded runs
+    are built this way. *)
 
 type stream = {
   stream_n : int;  (** node count *)
@@ -82,10 +79,6 @@ type stream = {
 
 val graph_of_stream : stream -> Graph.t
 (** Materialise the stream via {!Graph.of_adjacency}. *)
-
-val grid_stream : rows:int -> cols:int -> stream
-(** The same family as {!grid}, as a stream: neighbour sets (and hence
-    engine behaviour) are identical, edge ids may differ. *)
 
 val circulant_stream : n:int -> offsets:int list -> stream
 (** Circulant graph C_n(offsets): node [v] adjacent to [v ± o mod n] for

@@ -1,13 +1,15 @@
 type edge = { id : int; u : int; v : int }
 
-(* Adjacency is CSR (compressed sparse row): [off] has n+1 entries and
-   slots [off.(v) .. off.(v+1)-1] of the flat [tgt]/[eid] arrays hold
-   node v's neighbours and the ids of the connecting edges, ascending by
-   edge id.  The arrays are built once at [create] and never change;
-   faults only flip liveness bits, and every iteration filters on them.
-   [deg] caches the live degree (incident edges with the edge and both
-   endpoints alive) and is maintained incrementally by the fault
-   primitives, as is [cleared], the number of edge bits off.
+(* Edge [e] joins [eu.(e) < ev.(e)]; its record is built only when a
+   caller asks for one.  Adjacency is CSR (compressed sparse row): [off]
+   has n+1 entries and slots [off.(v) .. off.(v+1)-1] of the flat
+   [tgt]/[eid] arrays hold node v's neighbours and the ids of the
+   connecting edges, ascending by edge id.  The arrays are built once
+   and never change; faults only flip liveness bits, and every
+   iteration filters on them.  [deg] caches the live degree (incident
+   edges with the edge and both endpoints alive) and is maintained
+   incrementally by the fault primitives, as is [cleared], the number
+   of edge bits off.
 
    Every liveness flip is also logged in [flips], a ring keyed by the
    version the flip moved the graph to: a node [v] as [v], an edge [e]
@@ -18,7 +20,8 @@ type edge = { id : int; u : int; v : int }
    bit. *)
 type t = {
   n : int;
-  edges_arr : edge array;
+  eu : int array; (* m lower endpoints, by edge id *)
+  ev : int array; (* m upper endpoints, by edge id *)
   node_alive : bool array;
   edge_alive : bool array;
   off : int array; (* n + 1 CSR row offsets *)
@@ -43,31 +46,18 @@ let original_size g = g.n
 let check_node g v =
   if v < 0 || v >= g.n then invalid_arg (Printf.sprintf "Graph: bad node %d" v)
 
-let create ~n ~edges =
-  if n < 0 then invalid_arg "Graph.create: negative size";
-  let seen = Hashtbl.create (List.length edges) in
-  let canon =
-    List.filter_map
-      (fun (a, b) ->
-        if a < 0 || a >= n || b < 0 || b >= n then
-          invalid_arg (Printf.sprintf "Graph.create: bad endpoint (%d,%d)" a b);
-        if a = b then invalid_arg "Graph.create: self-loop";
-        let u, v = if a < b then (a, b) else (b, a) in
-        if Hashtbl.mem seen (u, v) then None
-        else begin
-          Hashtbl.add seen (u, v) ();
-          Some (u, v)
-        end)
-      edges
-  in
-  let edges_arr = Array.of_list (List.mapi (fun id (u, v) -> { id; u; v }) canon) in
-  let m = Array.length edges_arr in
+(* --- construction ---------------------------------------------------------- *)
+
+(* Every way of building a graph ends here: [eu]/[ev] hold distinct,
+   validated edges by id, lower endpoint first.  Filling the rows in
+   ascending edge-id order keeps each row ascending by edge id. *)
+let of_canonical n eu ev =
+  let m = Array.length eu in
   let deg = Array.make n 0 in
-  Array.iter
-    (fun e ->
-      deg.(e.u) <- deg.(e.u) + 1;
-      deg.(e.v) <- deg.(e.v) + 1)
-    edges_arr;
+  for e = 0 to m - 1 do
+    deg.(eu.(e)) <- deg.(eu.(e)) + 1;
+    deg.(ev.(e)) <- deg.(ev.(e)) + 1
+  done;
   let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     off.(v + 1) <- off.(v) + deg.(v)
@@ -75,20 +65,19 @@ let create ~n ~edges =
   let pos = Array.sub off 0 (max n 1) in
   let tgt = Array.make (2 * m) 0 in
   let eid = Array.make (2 * m) 0 in
-  (* Filling in ascending edge-id order keeps each row ascending by edge
-     id — the iteration order the list-based representation had. *)
-  Array.iter
-    (fun e ->
-      tgt.(pos.(e.u)) <- e.v;
-      eid.(pos.(e.u)) <- e.id;
-      pos.(e.u) <- pos.(e.u) + 1;
-      tgt.(pos.(e.v)) <- e.u;
-      eid.(pos.(e.v)) <- e.id;
-      pos.(e.v) <- pos.(e.v) + 1)
-    edges_arr;
+  for e = 0 to m - 1 do
+    let u = eu.(e) and v = ev.(e) in
+    tgt.(pos.(u)) <- v;
+    eid.(pos.(u)) <- e;
+    pos.(u) <- pos.(u) + 1;
+    tgt.(pos.(v)) <- u;
+    eid.(pos.(v)) <- e;
+    pos.(v) <- pos.(v) + 1
+  done;
   {
     n;
-    edges_arr;
+    eu;
+    ev;
     node_alive = Array.make n true;
     edge_alive = Array.make m true;
     off;
@@ -103,6 +92,138 @@ let create ~n ~edges =
     flips_from = 0;
     live_index = [||];
   }
+
+(* Validate edge [i] = (a, b) of a graph on [n] nodes and store it lower
+   endpoint first. *)
+let put who n us vs i a b =
+  if a < 0 || a >= n || b < 0 || b >= n then
+    invalid_arg (Printf.sprintf "%s: bad endpoint (%d,%d)" who a b);
+  if a = b then invalid_arg (who ^ ": self-loop");
+  if a < b then begin
+    us.(i) <- a;
+    vs.(i) <- b
+  end
+  else begin
+    us.(i) <- b;
+    vs.(i) <- a
+  end
+
+(* The edges of [us]/[vs] (validated, lower endpoint first) without
+   repeats, each kept at its first occurrence, in their order.  A stable
+   counting sort groups the edges by lower endpoint; within a group, a
+   stamp per upper endpoint spots a repeat.  O(n + len) time, no
+   hashing.  Marks repeats in [us]. *)
+let dedup n us vs =
+  let len = Array.length us in
+  let next = Array.make (n + 1) 0 in
+  for i = 0 to len - 1 do
+    next.(us.(i) + 1) <- next.(us.(i) + 1) + 1
+  done;
+  for u = 0 to n - 1 do
+    next.(u + 1) <- next.(u + 1) + next.(u)
+  done;
+  (* [next.(u)] is group u's next free slot, so once every edge is
+     placed it is where group u ends and group u + 1 starts *)
+  let ord = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let u = us.(i) in
+    ord.(next.(u)) <- i;
+    next.(u) <- next.(u) + 1
+  done;
+  let stamp = Array.make n (-1) in
+  let repeats = ref 0 and lo = ref 0 in
+  for u = 0 to n - 1 do
+    for k = !lo to next.(u) - 1 do
+      let i = ord.(k) in
+      if stamp.(vs.(i)) = u then begin
+        us.(i) <- -1;
+        incr repeats
+      end
+      else stamp.(vs.(i)) <- u
+    done;
+    lo := next.(u)
+  done;
+  if !repeats = 0 then (us, vs)
+  else begin
+    let eu = Array.make (len - !repeats) 0 and ev = Array.make (len - !repeats) 0 in
+    let m = ref 0 in
+    for i = 0 to len - 1 do
+      if us.(i) >= 0 then begin
+        eu.(!m) <- us.(i);
+        ev.(!m) <- vs.(i);
+        incr m
+      end
+    done;
+    (eu, ev)
+  end
+
+let create ~n ~edges =
+  if n < 0 then invalid_arg "Graph.create: negative size";
+  let len = List.length edges in
+  let us = Array.make len 0 and vs = Array.make len 0 in
+  List.iteri (fun i (a, b) -> put "Graph.create" n us vs i a b) edges;
+  let eu, ev = dedup n us vs in
+  of_canonical n eu ev
+
+let of_edges ~n us vs =
+  if n < 0 then invalid_arg "Graph.of_edges: negative size";
+  let len = Array.length us in
+  if Array.length vs <> len then
+    invalid_arg "Graph.of_edges: endpoint arrays differ in length";
+  let cu = Array.make len 0 and cv = Array.make len 0 in
+  for i = 0 to len - 1 do
+    put "Graph.of_edges" n cu cv i us.(i) vs.(i)
+  done;
+  let eu, ev = dedup n cu cv in
+  of_canonical n eu ev
+
+(* Edge ids ascend with the visit of their lower endpoint, so the
+   endpoint arrays come out in id order and [of_canonical] fills every
+   row ascending by edge id.  The degree oracle sizes them; the rows the
+   stream filled must then match it. *)
+let of_adjacency ~n ~degree ~iter =
+  if n < 0 then invalid_arg "Graph.of_adjacency: negative size";
+  let want = Array.make n 0 in
+  let total = ref 0 in
+  for v = 0 to n - 1 do
+    let d = degree v in
+    if d < 0 then invalid_arg "Graph.of_adjacency: negative degree";
+    want.(v) <- d;
+    total := !total + d
+  done;
+  if !total mod 2 <> 0 then
+    invalid_arg "Graph.of_adjacency: odd total degree (asymmetric stream)";
+  let m = !total / 2 in
+  let eu = Array.make m 0 and ev = Array.make m 0 in
+  (* last-seen stamps catch duplicate neighbours in one node's list *)
+  let seen = Array.make n (-1) in
+  let next_id = ref 0 in
+  for u = 0 to n - 1 do
+    iter u (fun v ->
+        if v < 0 || v >= n then
+          invalid_arg (Printf.sprintf "Graph.of_adjacency: bad neighbour %d" v);
+        if v = u then invalid_arg "Graph.of_adjacency: self-loop";
+        if seen.(v) = u then
+          invalid_arg
+            (Printf.sprintf "Graph.of_adjacency: duplicate edge (%d,%d)" u v);
+        seen.(v) <- u;
+        if v > u then begin
+          if !next_id >= m then
+            invalid_arg "Graph.of_adjacency: more neighbours than degree";
+          eu.(!next_id) <- u;
+          ev.(!next_id) <- v;
+          incr next_id
+        end)
+  done;
+  if !next_id <> m then
+    invalid_arg "Graph.of_adjacency: degree oracle disagrees with stream";
+  let g = of_canonical n eu ev in
+  for v = 0 to n - 1 do
+    if g.deg.(v) <> want.(v) then
+      invalid_arg
+        (Printf.sprintf "Graph.of_adjacency: asymmetric stream at node %d" v)
+  done;
+  g
 
 (* Neither the liveness index nor the flip log is copied: copies back
    snapshots and views that never ask for a node by rank, and a copy
@@ -125,13 +246,16 @@ let edge_count g = g.live_edges
 let is_live_node g v = v >= 0 && v < g.n && g.node_alive.(v)
 
 let is_live_edge g e =
-  e >= 0 && e < Array.length g.edges_arr && g.edge_alive.(e)
+  e >= 0 && e < Array.length g.eu && g.edge_alive.(e)
+
+let record g id = { id; u = g.eu.(id); v = g.ev.(id) }
 
 let edge g id =
-  if id < 0 || id >= Array.length g.edges_arr then
+  if id < 0 || id >= Array.length g.eu then
     invalid_arg (Printf.sprintf "Graph.edge: bad id %d" id);
-  g.edges_arr.(id)
+  record g id
 
+(* [f id w] for each live edge [id] from live [v] to live [w]. *)
 let iter_live_incident g v f =
   check_node g v;
   if g.node_alive.(v) then
@@ -139,7 +263,7 @@ let iter_live_incident g v f =
       let id = g.eid.(i) in
       if g.edge_alive.(id) then begin
         let w = g.tgt.(i) in
-        if g.node_alive.(w) then f g.edges_arr.(id) w
+        if g.node_alive.(w) then f id w
       end
     done
 
@@ -154,15 +278,20 @@ let iter_neighbours g v f =
       end
     done
 
-let edge_between g a b =
-  if not (is_live_node g a && is_live_node g b) then None
-  else begin
-    let found = ref None in
-    iter_live_incident g a (fun e w -> if w = b then found := Some e);
-    !found
-  end
+(* The id of the live edge joining live [a] and [b], or -1. *)
+let find_edge g a b =
+  let found = ref (-1) in
+  if is_live_node g a && is_live_node g b then
+    for i = g.off.(a) to g.off.(a + 1) - 1 do
+      if g.tgt.(i) = b && g.edge_alive.(g.eid.(i)) then found := g.eid.(i)
+    done;
+  !found
 
-let mem_edge g a b = edge_between g a b <> None
+let edge_between g a b =
+  let id = find_edge g a b in
+  if id < 0 then None else Some (record g id)
+
+let mem_edge g a b = find_edge g a b >= 0
 
 let degree g v = if is_live_node g v then g.deg.(v) else 0
 
@@ -265,10 +394,15 @@ let max_degree g =
   done;
   !m
 
+let live_edge_endpoints_live g id =
+  g.edge_alive.(id) && g.node_alive.(g.eu.(id)) && g.node_alive.(g.ev.(id))
+
 let edges g =
-  Array.to_list g.edges_arr
-  |> List.filter (fun e ->
-         g.edge_alive.(e.id) && g.node_alive.(e.u) && g.node_alive.(e.v))
+  let acc = ref [] in
+  for id = Array.length g.eu - 1 downto 0 do
+    if live_edge_endpoints_live g id then acc := record g id :: !acc
+  done;
+  !acc
 
 let neighbours g v =
   let acc = ref [] in
@@ -280,7 +414,10 @@ let iter_nodes g f =
     if g.node_alive.(v) then f v
   done
 
-let iter_edges g f = List.iter f (edges g)
+let iter_edges g f =
+  for id = 0 to Array.length g.eu - 1 do
+    if live_edge_endpoints_live g id then f (record g id)
+  done
 
 let fold_neighbours g v ~init ~f =
   let acc = ref init in
@@ -289,15 +426,11 @@ let fold_neighbours g v ~init ~f =
 
 let incident g v =
   let acc = ref [] in
-  iter_live_incident g v (fun e _ -> acc := e :: !acc);
+  iter_live_incident g v (fun id _ -> acc := record g id :: !acc);
   List.rev !acc
 
-let live_edge_endpoints_live g id =
-  let e = g.edges_arr.(id) in
-  g.edge_alive.(id) && g.node_alive.(e.u) && g.node_alive.(e.v)
-
 let remove_edge g id =
-  if id < 0 || id >= Array.length g.edges_arr then
+  if id < 0 || id >= Array.length g.eu then
     invalid_arg (Printf.sprintf "Graph.remove_edge: bad id %d" id);
   (* The version must move whenever the liveness *bit* flips, not only
      when the edge was observably live: an edge killed while an endpoint
@@ -305,10 +438,10 @@ let remove_edge g id =
      version-keyed caches must see that. *)
   if g.edge_alive.(id) then begin
     if live_edge_endpoints_live g id then begin
-      let e = g.edges_arr.(id) in
+      let u = g.eu.(id) and v = g.ev.(id) in
       g.live_edges <- g.live_edges - 1;
-      g.deg.(e.u) <- g.deg.(e.u) - 1;
-      g.deg.(e.v) <- g.deg.(e.v) - 1
+      g.deg.(u) <- g.deg.(u) - 1;
+      g.deg.(v) <- g.deg.(v) - 1
     end;
     g.edge_alive.(id) <- false;
     g.cleared <- g.cleared + 1;
@@ -316,7 +449,8 @@ let remove_edge g id =
   end
 
 let remove_edge_between g a b =
-  match edge_between g a b with None -> () | Some e -> remove_edge g e.id
+  let id = find_edge g a b in
+  if id >= 0 then remove_edge g id
 
 let remove_node g v =
   check_node g v;
@@ -411,7 +545,7 @@ let refresh_node c g v =
   done
 
 let refresh_edge c g e =
-  let { u; v; _ } = g.edges_arr.(e) in
+  let u = g.eu.(e) and v = g.ev.(e) in
   c.edge_alive.(e) <- g.edge_alive.(e);
   c.deg.(u) <- g.deg.(u);
   c.deg.(v) <- g.deg.(v)
@@ -450,82 +584,4 @@ let csr g =
     csr_eid = g.eid;
     csr_node_alive = g.node_alive;
     csr_edge_alive = g.edge_alive;
-  }
-
-(* --- streamed construction --------------------------------------------- *)
-
-(* Build the CSR directly from a degree oracle and a neighbour stream,
-   never materialising an edge list (the [create] path costs a hashtable
-   entry plus a list cell per edge on top of the CSR; this path costs
-   only the CSR itself plus one scratch int array).  Edge ids are
-   assigned in ascending order of their canonical (u < v) endpoint's
-   visit, which fills every row ascending by edge id: row [x] receives
-   its lower-neighbour slots while those neighbours are visited (in
-   ascending id order, since ids ascend with the visit) and then its own
-   upper-neighbour slots with consecutively assigned ids. *)
-let of_adjacency ~n ~degree ~iter =
-  if n < 0 then invalid_arg "Graph.of_adjacency: negative size";
-  let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let d = degree v in
-    if d < 0 then invalid_arg "Graph.of_adjacency: negative degree";
-    off.(v + 1) <- off.(v) + d
-  done;
-  let m2 = off.(n) in
-  if m2 mod 2 <> 0 then
-    invalid_arg "Graph.of_adjacency: odd total degree (asymmetric stream)";
-  let m = m2 / 2 in
-  let tgt = Array.make m2 0 in
-  let eid = Array.make m2 0 in
-  let edges_arr = Array.make m { id = 0; u = 0; v = 0 } in
-  let pos = Array.sub off 0 (max n 1) in
-  (* last-seen stamps catch duplicate neighbours in one node's list *)
-  let seen = Array.make n (-1) in
-  let next_id = ref 0 in
-  for u = 0 to n - 1 do
-    iter u (fun v ->
-        if v < 0 || v >= n then
-          invalid_arg (Printf.sprintf "Graph.of_adjacency: bad neighbour %d" v);
-        if v = u then invalid_arg "Graph.of_adjacency: self-loop";
-        if seen.(v) = u then
-          invalid_arg
-            (Printf.sprintf "Graph.of_adjacency: duplicate edge (%d,%d)" u v);
-        seen.(v) <- u;
-        if v > u then begin
-          if !next_id >= m then
-            invalid_arg "Graph.of_adjacency: more neighbours than degree";
-          let id = !next_id in
-          incr next_id;
-          edges_arr.(id) <- { id; u; v };
-          tgt.(pos.(u)) <- v;
-          eid.(pos.(u)) <- id;
-          pos.(u) <- pos.(u) + 1;
-          tgt.(pos.(v)) <- u;
-          eid.(pos.(v)) <- id;
-          pos.(v) <- pos.(v) + 1
-        end)
-  done;
-  if !next_id <> m then
-    invalid_arg "Graph.of_adjacency: degree oracle disagrees with stream";
-  for v = 0 to n - 1 do
-    if pos.(v) <> off.(v + 1) then
-      invalid_arg
-        (Printf.sprintf "Graph.of_adjacency: asymmetric stream at node %d" v)
-  done;
-  {
-    n;
-    edges_arr;
-    node_alive = Array.make n true;
-    edge_alive = Array.make m true;
-    off;
-    tgt;
-    eid;
-    deg = Array.init n (fun v -> off.(v + 1) - off.(v));
-    live_nodes = n;
-    live_edges = m;
-    version = 0;
-    cleared = 0;
-    flips = [||];
-    flips_from = 0;
-    live_index = [||];
   }

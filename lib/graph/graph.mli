@@ -9,15 +9,18 @@
     entities dead without renumbering the survivors.
 
     Adjacency is stored as CSR (compressed sparse row): flat offset /
-    target / edge-id [int array]s built once at [create], with liveness
-    bits filtered on iteration.  [iter_neighbours] and [fold_neighbours]
+    target / edge-id [int array]s built once, by one construction path
+    behind {!create}, {!of_edges} and {!of_adjacency}, with liveness bits
+    filtered on iteration.  [iter_neighbours] and [fold_neighbours]
     are therefore allocation-free and cache-friendly — they are the
     engine's per-activation hot path; the list-returning accessors
     ([neighbours], [incident], [nodes], [edges]) are compatibility shims
-    that materialise fresh lists on each call.  Live degrees are cached
-    and maintained incrementally by the deletion primitives, making
-    [degree] and [max_degree] O(1) and O(n), and so is the number of
-    cleared edge bits ({!cleared_edges}).
+    that materialise fresh lists on each call.  Edge endpoints are two
+    [int array]s: each accessor that returns an {!edge} record builds
+    it on demand.  Live degrees are cached and maintained incrementally
+    by the deletion primitives, making [degree] and [max_degree] O(1)
+    and O(n), and so is the number of cleared edge bits
+    ({!cleared_edges}).
 
     Every flip of a liveness bit is logged against the {!version} it
     moved the graph to, in a ring of [max 64 (n/16)] entries rounded up
@@ -34,8 +37,21 @@ type edge = { id : int; u : int; v : int }
 
 val create : n:int -> edges:(int * int) list -> t
 (** [create ~n ~edges] builds a graph on nodes [0..n-1].  Self-loops are
-    rejected; duplicate edges are collapsed.  @raise Invalid_argument on a
-    bad endpoint. *)
+    rejected; duplicate edges (in either orientation) are collapsed, and
+    edge ids number the first occurrences in list order.  O(n + length
+    edges) time, with no hashing: the list is copied into two endpoint
+    arrays, repeats are found by a counting sort on the lower endpoint,
+    and the CSR is filled from the arrays.  A grid's list costs about
+    11 words per edge beyond the list itself, all allocation counted.
+    @raise Invalid_argument on a bad endpoint or a self-loop (the first
+    in list order), or a negative [n]. *)
+
+val of_edges : n:int -> int array -> int array -> t
+(** [of_edges ~n us vs] is [create ~n ~edges] over the pairs
+    [(us.(i), vs.(i))] in index order, without the list: same ids, rows
+    and rejections, with ["Graph.of_edges"] in the messages.  The arrays
+    are read, not kept.
+    @raise Invalid_argument also if the arrays differ in length. *)
 
 val copy : t -> t
 (** Deep copy of the liveness (bits, cached degrees and counts) at the
@@ -43,17 +59,17 @@ val copy : t -> t
     log starts empty. *)
 
 val of_adjacency : n:int -> degree:(int -> int) -> iter:(int -> (int -> unit) -> unit) -> t
-(** Streamed construction: build the CSR directly from a degree oracle
-    and a per-node neighbour stream ([iter v f] calls [f] once per
-    neighbour of [v]), without materialising an edge list — the path to
-    graphs too large for {!create}'s list + dedup-hashtable overhead.
-    The stream must describe a simple symmetric adjacency: [degree v]
-    must equal the number of neighbours [iter v] emits, and [w] must
-    appear in [v]'s stream iff [v] appears in [w]'s.  Violations
-    (asymmetry, duplicates, self-loops, bad ids) raise
-    [Invalid_argument].  The resulting graph is indistinguishable from a
-    {!create} over the same edge set: rows ascend by edge id, and edge
-    [id]s ascend with the first (lower-endpoint) visit order. *)
+(** Streamed construction from a degree oracle and a per-node neighbour
+    stream ([iter v f] calls [f] once per neighbour of [v]), for
+    families whose adjacency is a formula: no edge list or pair arrays
+    are built by the caller, and the stream fills the endpoint arrays
+    the CSR is built from directly.  The stream must describe a simple
+    symmetric adjacency: [degree v] must equal the number of neighbours
+    [iter v] emits, and [w] must appear in [v]'s stream iff [v] appears
+    in [w]'s.  Violations (asymmetry, duplicates, self-loops, bad ids)
+    raise [Invalid_argument].  The resulting graph is indistinguishable
+    from a {!create} over the same edge set: rows ascend by edge id, and
+    edge [id]s ascend with the first (lower-endpoint) visit order. *)
 
 (** {1 Queries} *)
 
@@ -70,10 +86,12 @@ val is_live_node : t -> int -> bool
 val is_live_edge : t -> int -> bool
 
 val edge : t -> int -> edge
-(** Edge by id (live or dead).  @raise Invalid_argument on a bad id. *)
+(** Edge by id (live or dead), a fresh record.
+    @raise Invalid_argument on a bad id. *)
 
 val edge_between : t -> int -> int -> edge option
-(** The live edge joining two live nodes, if any. *)
+(** The live edge joining two live nodes, if any.  Scans the first
+    node's row and builds only the record it returns. *)
 
 val mem_edge : t -> int -> int -> bool
 
@@ -127,7 +145,10 @@ val neighbours : t -> int -> int list
 (** Live neighbours of a node.  Dead nodes have no neighbours. *)
 
 val iter_nodes : t -> (int -> unit) -> unit
+
 val iter_edges : t -> (edge -> unit) -> unit
+(** Live edges ascending by id, as {!edges} lists them, without the
+    list: each edge's liveness is read when the iteration reaches it. *)
 
 val iter_neighbours : t -> int -> (int -> unit) -> unit
 (** Allocation-free iteration over the live neighbours of a node, in the

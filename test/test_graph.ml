@@ -265,6 +265,168 @@ let prop_cleared_count_and_refresh =
       check ();
       !ok)
 
+(* --- construction against the frozen reference (graph_ref.ml) --------- *)
+
+let build f = match f () with g -> Ok g | exception Invalid_argument m -> Error m
+
+(* [g] is the reference build [r]: the same rows, every edge by id (and
+   no more), degrees, counts and edge list. *)
+let same_as_ref g (r : Graph_ref.t) =
+  let c = Graph.csr g and m = Array.length r.edges in
+  c.Graph.csr_off = r.off && c.Graph.csr_tgt = r.tgt && c.Graph.csr_eid = r.eid
+  && Graph.original_size g = r.n
+  && Graph.node_count g = r.n
+  && Graph.edge_count g = m
+  && Array.for_all (fun (e : Graph.edge) -> Graph.edge g e.id = e) r.edges
+  && (match Graph.edge g m with _ -> false | exception Invalid_argument _ -> true)
+  && List.for_all (fun v -> Graph.degree g v = r.deg.(v)) (List.init r.n Fun.id)
+  && Graph.edges g = Array.to_list r.edges
+
+(* Both builds give equal graphs, or both raise the same message, with
+   [who] in place of the reference's "Graph.create". *)
+let agrees ?(who = "Graph.create") built reference =
+  match (built, reference) with
+  | Ok g, Ok r -> same_as_ref g r
+  | Error m, Error rm ->
+      let k = String.length "Graph.create" in
+      m
+      = if String.starts_with ~prefix:"Graph.create" rm then
+          who ^ String.sub rm k (String.length rm - k)
+        else rm
+  | _ -> false
+
+(* Random multigraph edge lists on at most 60 nodes: pairs drawn from a
+   smaller pool in either orientation, so most lists repeat edges, and
+   one list in seven carries a bad endpoint or a self-loop somewhere. *)
+let arb_edge_list =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 60 >>= fun n ->
+    int_range 0 150 >>= fun len ->
+    int_range 1 (max 1 len) >>= fun pool_size ->
+    (if n < 2 then return [||]
+     else
+       list_repeat pool_size (pair (int_range 0 (n - 1)) (int_range 1 (n - 1)))
+       >|= fun ps -> Array.of_list (List.map (fun (a, k) -> (a, (a + k) mod n)) ps))
+    >>= fun pool ->
+    (if Array.length pool = 0 then return []
+     else
+       list_repeat len (pair (int_range 0 (Array.length pool - 1)) bool)
+       >|= List.map (fun (i, flip) ->
+               let a, b = pool.(i) in
+               if flip then (b, a) else (a, b)))
+    >>= fun edges ->
+    let insert_bad =
+      int_range 0 (List.length edges) >>= fun at ->
+      oneofl [ (-1, 0); (0, n); (n + 3, 1); (n / 2, n / 2); (2, -5) ]
+      >|= fun bad ->
+      List.filteri (fun i _ -> i < at) edges
+      @ (bad :: List.filteri (fun i _ -> i >= at) edges)
+    in
+    frequency [ (6, return edges); (1, insert_bad) ] >|= fun edges -> (n, edges)
+  in
+  QCheck.make gen
+    ~print:QCheck.Print.(pair int (list (pair int int)))
+
+let prop_create_equals_reference =
+  QCheck.Test.make ~name:"create = frozen reference" ~count:400 arb_edge_list
+    (fun (n, edges) ->
+      let reference = build (fun () -> Graph_ref.create ~n ~edges) in
+      agrees (build (fun () -> Graph.create ~n ~edges)) reference
+      && agrees ~who:"Graph.of_edges"
+           (build (fun () ->
+                Graph.of_edges ~n
+                  (Array.of_list (List.map fst edges))
+                  (Array.of_list (List.map snd edges))))
+           reference)
+
+let prop_generators_equal_reference =
+  QCheck.Test.make ~name:"generators = frozen reference" ~count:100
+    QCheck.(quad (int_range 1 14) (int_range 1 14) (int_range 1 80) (int_range (-3) 120))
+    (fun (rows, cols, n, extra) ->
+      let seed = (rows * 1_000) + (cols * 100) + n + extra in
+      agrees
+        (build (fun () -> Gen.grid ~rows ~cols))
+        (build (fun () -> Graph_ref.grid ~rows ~cols))
+      && agrees
+           (build (fun () -> Gen.random_connected (Prng.create ~seed) ~n ~extra_edges:extra))
+           (build (fun () ->
+                Graph_ref.random_connected (Prng.create ~seed) ~n ~extra_edges:extra)))
+
+let test_large_generators_equal_reference () =
+  Alcotest.(check bool) "grid 120x90" true
+    (same_as_ref (Gen.grid ~rows:120 ~cols:90) (Graph_ref.grid ~rows:120 ~cols:90));
+  Alcotest.(check bool) "random 5000 + 5000" true
+    (same_as_ref
+       (Gen.random_connected (Prng.create ~seed:7) ~n:5_000 ~extra_edges:5_000)
+       (Graph_ref.random_connected (Prng.create ~seed:7) ~n:5_000 ~extra_edges:5_000));
+  Alcotest.(check bool) "saturated random 12 + 100" true
+    (same_as_ref
+       (Gen.random_connected (Prng.create ~seed:8) ~n:12 ~extra_edges:100)
+       (Graph_ref.random_connected (Prng.create ~seed:8) ~n:12 ~extra_edges:100))
+
+let test_of_edges_rejects () =
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Graph.of_edges: endpoint arrays differ in length")
+    (fun () -> ignore (Graph.of_edges ~n:3 [| 0; 1 |] [| 1 |]));
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Graph.of_edges: negative size") (fun () ->
+      ignore (Graph.of_edges ~n:(-1) [||] [||]))
+
+(* A stream over explicit neighbour lists, with its own degree oracle. *)
+let of_lists ?degree adj =
+  let degree = Option.value degree ~default:(fun v -> List.length adj.(v)) in
+  Graph.of_adjacency ~n:(Array.length adj) ~degree ~iter:(fun v f -> List.iter f adj.(v))
+
+let test_of_adjacency_rejects () =
+  let rejects name msg ?degree adj =
+    Alcotest.check_raises name (Invalid_argument ("Graph.of_adjacency: " ^ msg))
+      (fun () -> ignore (of_lists ?degree adj))
+  in
+  (* the counts agree but node 0 lists one neighbour against degree 2 *)
+  rejects "asymmetric stream" "asymmetric stream at node 0"
+    ~degree:(fun v -> if v = 0 then 2 else 1)
+    [| [ 1 ]; [ 2 ]; [] |];
+  rejects "duplicate neighbour" "duplicate edge (0,1)" [| [ 1; 1 ]; [ 0; 0 ] |];
+  rejects "self-loop" "self-loop" [| [ 0 ]; [ 1 ] |];
+  rejects "bad id" "bad neighbour 5" [| [ 5 ]; [ 0 ] |];
+  rejects "more neighbours than degree" "more neighbours than degree"
+    ~degree:(fun v -> if v < 2 then 1 else 0)
+    [| [ 1; 2 ]; [ 0 ]; [] |];
+  rejects "odd total degree" "odd total degree (asymmetric stream)"
+    ~degree:(fun v -> if v = 0 then 1 else 0)
+    [| [ 1 ]; [] |];
+  rejects "negative degree" "negative degree" ~degree:(fun _ -> -1) [| [] |];
+  rejects "oracle disagrees" "degree oracle disagrees with stream"
+    ~degree:(fun _ -> 2)
+    [| [ 1 ]; [ 0 ] |]
+
+(* [of_adjacency] over a random simple graph's neighbour lists, each in
+   a shuffled order, gives [create]'s neighbour sets, and exactly
+   [create]'s graph over the edges in stream visit order. *)
+let prop_of_adjacency_equals_create =
+  QCheck.Test.make ~name:"of_adjacency = create" ~count:100
+    QCheck.(triple (int_range 1 60) (int_range 0 120) small_nat)
+    (fun (n, extra, seed) ->
+      let rng = Prng.create ~seed in
+      let g = Gen.random_connected rng ~n ~extra_edges:extra in
+      let adj =
+        Array.init n (fun v ->
+            let a = Array.of_list (Graph.neighbours g v) in
+            Prng.shuffle rng a;
+            Array.to_list a)
+      in
+      let s = of_lists adj in
+      let sorted v h = List.sort compare (Graph.neighbours h v) in
+      let visit =
+        List.concat_map
+          (fun u -> List.filter_map (fun v -> if v > u then Some (u, v) else None) adj.(u))
+          (List.init n Fun.id)
+      in
+      List.for_all (fun v -> sorted v s = sorted v g) (List.init n Fun.id)
+      && Graph.edge_count s = Graph.edge_count g
+      && same_as_ref s (Graph_ref.create ~n ~edges:visit))
+
 let suite =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -294,4 +456,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_connected_always_connected;
     QCheck_alcotest.to_alcotest prop_bridges_sound;
     QCheck_alcotest.to_alcotest prop_cleared_count_and_refresh;
+    QCheck_alcotest.to_alcotest prop_create_equals_reference;
+    QCheck_alcotest.to_alcotest prop_generators_equal_reference;
+    Alcotest.test_case "large generators = reference" `Quick
+      test_large_generators_equal_reference;
+    Alcotest.test_case "of_edges rejects" `Quick test_of_edges_rejects;
+    Alcotest.test_case "of_adjacency rejects" `Quick test_of_adjacency_rejects;
+    QCheck_alcotest.to_alcotest prop_of_adjacency_equals_create;
   ]
