@@ -565,6 +565,26 @@ let build_words ~side =
 
 let build_words_bound = 16.
 
+(* Minor words per transition of a dirty shortest-paths wave from the
+   corner sink of a 100x100 grid to quiescence (9,999 transitions), on
+   the one-shard runtime and on 4 shards, from the runtime's first
+   round on.  The automaton shares one record per label, so what is
+   left is the label table's growth (labels up to 198), about 0.13; a
+   step that builds a fresh 3-word record per transition reads 3.0,
+   which fails the bound. *)
+let sp_wave_words ~shards =
+  let net = sp_net ~side:100 in
+  let sh = Sharded.create ~shards net in
+  let t0 = Network.transitions net in
+  let w0 = Gc.minor_words () in
+  while Sharded.step ~dirty:true sh do
+    ()
+  done;
+  let w1 = Gc.minor_words () in
+  (shards, (w1 -. w0) /. float_of_int (max 1 (Network.transitions net - t0)))
+
+let sp_wave_words_bound = 2.
+
 (* --- parallel synchronous rounds ------------------------------------- *)
 
 type par_sample = {
@@ -961,6 +981,8 @@ type results = {
       (* view + checkpoint refresh: mutation, words *)
   r_start : (int * float) list;  (* Runner.start: n, words per call *)
   r_build : (int * float) list;  (* Gen.grid: n, words per edge *)
+  r_sp_wave : (int * float) list;
+      (* dirty shortest-paths wave: shards, words per transition *)
   r_dirty : dirty_sample list;
   r_par : par_sample list;
   r_sharded : sharded_sample list;
@@ -994,6 +1016,7 @@ let ok r =
   && List.for_all (fun (_, w) -> w <= refresh_words_bound) r.r_refresh
   && List.for_all (fun (_, w) -> w <= start_words_bound) r.r_start
   && List.for_all (fun (_, w) -> w <= build_words_bound) r.r_build
+  && List.for_all (fun (_, w) -> w <= sp_wave_words_bound) r.r_sp_wave
   && List.for_all (fun p -> p.p_identical) r.r_par
   && List.for_all (fun s -> s.sh_identical) r.r_sharded
   && List.for_all (fun x -> x.ex_identical) r.r_exchange
@@ -1110,6 +1133,14 @@ let collect ?(smoke = false) ?domains () =
         bn w build_words_bound
         (if w <= build_words_bound then "ok" else "FAIL"))
     build;
+  let sp_wave = List.map (fun shards -> sp_wave_words ~shards) [ 1; 4 ] in
+  List.iter
+    (fun (k, w) ->
+      Printf.printf
+        "  sp wave 100x100       shards=%d %6.2f words/transition (bound %.0f): %s\n"
+        k w sp_wave_words_bound
+        (if w <= sp_wave_words_bound then "ok" else "FAIL"))
+    sp_wave;
   let dirty_samples =
     [ measure_dirty ~workload:"e03_shortest_paths" (fun () -> sp_net ~side) ]
   in
@@ -1258,6 +1289,7 @@ let collect ?(smoke = false) ?domains () =
       r_refresh = refresh;
       r_start = start;
       r_build = build;
+      r_sp_wave = sp_wave;
       r_dirty = dirty_samples;
       r_par = par_samples;
       r_sharded = sharded_samples;
@@ -1388,6 +1420,18 @@ let doc_of r =
                    ("pass", Jsonx.Bool (w <= build_words_bound));
                  ])
              r.r_build) );
+      ( "sp_wave_alloc",
+        Jsonx.List
+          (List.map
+             (fun (k, w) ->
+               Jsonx.Obj
+                 [
+                   ("shards", Jsonx.Int k);
+                   ("words_per_transition", Jsonx.Float w);
+                   ("bound", Jsonx.Float sp_wave_words_bound);
+                   ("pass", Jsonx.Bool (w <= sp_wave_words_bound));
+                 ])
+             r.r_sp_wave) );
       ("dirty", Jsonx.List (List.map dirty_json r.r_dirty));
       ("digest", digest_json r.r_digest);
       ( "parallel",

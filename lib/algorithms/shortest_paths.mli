@@ -13,7 +13,17 @@ val automaton : sinks:int list -> cap:int -> state Symnet_core.Fssga.t
 (** [cap] bounds the label range (use the node count).  Non-sink nodes
     start at [cap].  The min is taken only over finite label values, and
     the scan is a finite chain of thresh observations, keeping the
-    transition in the mod-thresh class. *)
+    transition in the mod-thresh class.
+
+    The automaton's states are shared, immutable records: one sink
+    record, one [cap] record, and one record per label in between, from
+    a table each automaton grows by doubling as labels are first
+    reached (1,024 slots for a wave that reaches label 632, not
+    [cap + 1]).  So [init] and a step allocate nothing, and a step that
+    keeps its label returns [self].  Nothing depends on the sharing for
+    meaning: a record built outside the automaton, such as a
+    corruption's [{ s with label }], behaves as the shared record of its
+    label, since the engine compares states structurally. *)
 
 val label : state -> int
 

@@ -20,10 +20,6 @@ let deterministic ~name ~init ~step =
 
 let is_deterministic t = t.deterministic
 
-let uniform_init q _g _v = q
-
-let mark_one ~marked ~others v0 _g v = if v = v0 then marked else others
-
 (* The View interface cannot leak the raw states, so to run a formal
    program we reconstruct a multiplicity vector using only mod/thresh
    queries... which is impossible for unbounded counts with finite

@@ -53,14 +53,6 @@ val deterministic :
 
 val is_deterministic : 'q t -> bool
 
-val uniform_init : 'q -> Symnet_graph.Graph.t -> int -> 'q
-(** All nodes start in the same state (the strict symmetric start required
-    by e.g. leader election, §4.7). *)
-
-val mark_one : marked:'q -> others:'q -> int -> Symnet_graph.Graph.t -> int -> 'q
-(** [mark_one ~marked ~others v0] starts node [v0] in [marked] and every
-    other node in [others]. *)
-
 (** {1 Running a formal program as a transition}
 
     Bridges the formal {!Sm} world and the engine: an automaton over

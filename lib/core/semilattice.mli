@@ -26,9 +26,6 @@ val laws_hold : 'a t -> elements:'a list -> bool
 (** Exhaustively check associativity, commutativity and idempotence over
     the given universe. *)
 
-val join_all : 'a t -> 'a -> 'a list -> 'a
-(** Fold of the join. *)
-
 val gossip : 'a t -> init:(Symnet_graph.Graph.t -> int -> 'a) -> 'a Fssga.t
 (** The gossip automaton: on activation, join self with every neighbour
     state.  (Reading "the join of the neighbour multiset" is an SM

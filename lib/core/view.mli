@@ -14,7 +14,13 @@
     states through an arbitrary pointwise function ['q -> bool]; on a
     finite state space this is a finite union of atoms, hence still
     mod-thresh.  [map] relabels states pointwise (summing multiplicities),
-    which likewise preserves the class. *)
+    which likewise preserves the class.
+
+    Inside, an engine-built view is a list of neighbour ids read through
+    arrays it was bound to (see the engine-side section): the ids are
+    how the engine avoids copying states, and none of them leaves this
+    module, so what a transition observes is still a function of the
+    state multiset alone. *)
 
 type 'q t
 
@@ -24,22 +30,38 @@ val of_list : 'q list -> 'q t
 
 (** {1 Engine-side cursor construction}
 
-    The representation is an indexed cursor over a reusable buffer: the
-    engine keeps one scratch view per network and refills it in place
-    before each activation, so a warm activation allocates nothing for
-    the view.  A view built this way is only valid until the next refill;
-    transition functions must consume it immediately and never retain it
-    (every observer below is strict, so this falls out naturally).
+    The representation is an indexed cursor over a reusable buffer of
+    neighbour {e ids}, not states: the engine keeps one scratch view per
+    network (and per shard), {!bind}s it once to the arrays the ids
+    index, and refills the ids in place before each activation.  A warm
+    activation allocates nothing for the view, and since the buffer
+    holds ints, filling it runs no write barrier (a pointer store into
+    an array outside the minor heap runs [caml_modify], several times
+    the cost of an int store; DESIGN.md §5 has the figures).  An id
+    [x >= 0] names [states.(x)] and an id [x < 0] names
+    [ghosts.(lnot x)], so a shard reads its owned neighbours from the
+    flat state array and its remote ones from its ghosts through one
+    buffer.  The observers below read the states through the ids when
+    they run: a view built this way is only valid until the next refill
+    and while its bound arrays are not written, which holds because an
+    activation's step returns before any commit writes a state.
+    Transition functions must consume the view immediately and never
+    retain it (every observer is strict, so this falls out naturally).
+    No observer hands out an id or addresses a single neighbour.
     Algorithm code has no business calling these. *)
 
 val scratch : unit -> 'q t
-(** A fresh empty reusable view. *)
+(** A fresh empty reusable view, bound to no arrays. *)
+
+val bind : 'q t -> states:'q array -> ghosts:'q array -> unit
+(** Make non-negative ids index [states] and negative ids [x] index
+    [ghosts] at [lnot x].  The arrays are kept, not copied. *)
 
 val clear : 'q t -> unit
 (** Reset to empty, keeping the underlying buffer for reuse. *)
 
-val push : 'q t -> 'q -> unit
-(** Append one neighbour state, growing the buffer (amortized O(1),
+val push_id : 'q t -> int -> unit
+(** Append one neighbour by id, growing the buffer (amortized O(1),
     allocation-free once the buffer has reached the node's degree). *)
 
 val at_least : 'q t -> 'q -> int -> bool

@@ -12,8 +12,9 @@ type 'q t = {
   mutable rng : Prng.t;
       (* mutable for [restore] (rewind to the checkpointed stream) and
          [reseed] (recovery-policy escape from a pathological walk) *)
-  (* The view cursor of [activate] and [sync_step] and its preallocated
-     [fill] closure (the sharded runtime's shards have their own). *)
+  (* The view cursor of [activate] and [sync_step], bound to [states],
+     and its preallocated [push] closure (the sharded runtime's shards
+     have their own cursors). *)
   scratch : 'q View.t;
   push : int -> unit;
   (* Per-node streams for synchronous probabilistic stepping: node [v]
@@ -97,6 +98,7 @@ let init ~rng graph (automaton : 'q Fssga.t) =
     Array.init (Graph.original_size graph) (fun v -> automaton.init graph v)
   in
   let scratch = View.scratch () in
+  View.bind scratch ~states ~ghosts:[||];
   let t =
     {
       graph;
@@ -104,7 +106,7 @@ let init ~rng graph (automaton : 'q Fssga.t) =
       automaton;
       rng;
       scratch;
-      push = (fun w -> View.push scratch states.(w));
+      push = (fun w -> View.push_id scratch w);
       node_rngs = [||];
       next = [||];
       activations = 0;
@@ -367,10 +369,13 @@ let ensure_next t =
 
 (* Fill [next.(v)] for one node.  The rng a probabilistic step sees is
    the node's private stream, never the shared one — that is the whole
-   determinism contract of synchronous rounds. *)
+   determinism contract of synchronous rounds.  The slot is written only
+   when it does not already hold the result physically (as after a step
+   that returned an unchanged [self]), which skips the write barrier. *)
 let read_node t ~det v =
   let rng = if det then t.rng else t.node_rngs.(v) in
-  t.next.(v) <- t.automaton.step ~self:t.states.(v) ~rng (view_of t v)
+  let q' = t.automaton.step ~self:t.states.(v) ~rng (view_of t v) in
+  if t.next.(v) != q' then t.next.(v) <- q'
 
 let sync_step t =
   let g = t.graph in
@@ -511,9 +516,9 @@ let restore t cp =
   let n = Array.length t.states in
   if Array.length cp.cp_states <> n then
     invalid_arg "Network.restore: checkpoint from a different network";
-  (* Blit, never replace: the push closure and the sharded runtime's
-     shards capture [t.states], so the array's identity must survive a
-     restore. *)
+  (* Blit, never replace: the view scratches and the sharded runtime's
+     shards are bound to [t.states], so the array's identity must survive
+     a restore. *)
   Array.blit cp.cp_states 0 t.states 0 n;
   Graph.restore t.graph cp.cp_graph;
   (* Fresh copies each time, so restoring twice replays the identical

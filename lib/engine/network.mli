@@ -3,12 +3,14 @@
     the dynamics are built from.
 
     Hot-path contract: a network owns one reusable {!Symnet_core.View.t}
-    scratch cursor.  A node's view is filled into it in place by
-    iterating the graph's CSR adjacency, so {!activate} and {!sync_step}
-    perform zero per-node heap allocation for the view.  A filled view
-    is only valid until the next activation — transition functions
-    consume it synchronously (the {!Symnet_core.View} interface is
-    strict, so this cannot be violated from algorithm code).
+    scratch cursor, bound to its state array.  A node's view is filled
+    into it in place with the ids of its live neighbours by iterating
+    the graph's CSR adjacency, so {!activate} and {!sync_step} perform
+    zero per-node heap allocation and no write barrier for the view.  A
+    filled view is only valid until the next activation — transition
+    functions consume it synchronously (the {!Symnet_core.View}
+    interface is strict, so this cannot be violated from algorithm
+    code).
 
     {!sync_step} is the reference synchronous round.  The runner drives
     its synchronous rounds through {!Sharded_network}, whose one-shard

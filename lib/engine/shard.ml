@@ -5,19 +5,20 @@
 
    A view fill walks the node's row of the global CSR — the same slots,
    in the same order, with the same liveness filter as
-   [Graph.iter_neighbours] — and reads an owned neighbour straight from
-   the flat array and a remote one from its ghost.  The rows of a
-   contiguous node range occupy a contiguous slice [off.(lo) ..
-   off.(hi)) of the global CSR, so one [code] array parallel to that
-   slice gives each remote slot its ghost index.  Next states go to the
-   network's commit buffer, and a dirty round's stepped set is the
-   shard's slice of the network's frontier buffer, read in place: the
-   shards' ranges are disjoint, so shards on several domains never
-   touch the same cell.  Only this shard's commit writes its slice of
-   the flat array and no commit runs during a read phase, which is what
-   makes the sharded read phase race-free by construction.  A lone
-   shard has no ghosts and sends nothing, so it owns nothing of size n
-   and costs O(1) to lay out. *)
+   [Graph.iter_neighbours] — and records an owned neighbour by its node
+   id, which the view reads from the flat array, and a remote one by
+   the complement of its ghost index, which it reads from the ghosts.
+   The rows of a contiguous node range occupy a contiguous slice
+   [off.(lo) .. off.(hi)) of the global CSR, so one [code] array
+   parallel to that slice gives each remote slot its ghost index.  Next
+   states go to the network's commit buffer, and a dirty round's
+   stepped set is the shard's slice of the network's frontier buffer,
+   read in place: the shards' ranges are disjoint, so shards on several
+   domains never touch the same cell.  Only this shard's commit writes
+   its slice of the flat array and no commit runs during a read phase,
+   which is what makes the sharded read phase race-free by
+   construction.  A lone shard has no ghosts and sends nothing, so it
+   owns nothing of size n and costs O(1) to lay out. *)
 
 module Graph = Symnet_graph.Graph
 module Prng = Symnet_prng.Prng
@@ -47,7 +48,9 @@ type 'q t = {
   code : int array;
       (* per slice slot with a remote target: its ghost index; [||] for
          a shard without ghosts *)
-  ghosts : 'q array;  (* frozen remote-boundary states *)
+  ghosts : 'q array;
+      (* frozen remote-boundary states; the view scratches are bound to
+         this array, so it is written in place, never replaced *)
   ghost_ids : int array;  (* ghost index -> global node id, ascending *)
   (* outbound wiring, CSR over local nodes: entry j of node li names the
      peer shard and the ghost slot this node occupies there.  Entries of
@@ -84,9 +87,18 @@ let queue_push q slot x =
 
 (* --- layout ------------------------------------------------------------ *)
 
+(* A view scratch bound to the flat state array and the ghosts, so an
+   owned neighbour is pushed as its node id and a remote one as the
+   complement of its ghost index. *)
+let bound_scratch ~states ~ghosts =
+  let v = View.scratch () in
+  View.bind v ~states ~ghosts;
+  v
+
 let make ~net ~csr ~id ~lo ~hi ~code ~ghost_ids ~out_off ~out_peer ~out_slot
     ~outboxes =
   let states = Network.raw_states net in
+  let ghosts = Array.map (fun gid -> states.(gid)) ghost_ids in
   {
     id;
     lo;
@@ -96,7 +108,7 @@ let make ~net ~csr ~id ~lo ~hi ~code ~ghost_ids ~out_off ~out_peer ~out_slot
     states;
     slot0 = csr.Graph.csr_off.(lo);
     code;
-    ghosts = Array.map (fun gid -> states.(gid)) ghost_ids;
+    ghosts;
     ghost_ids;
     out_off;
     out_peer;
@@ -105,7 +117,7 @@ let make ~net ~csr ~id ~lo ~hi ~code ~ghost_ids ~out_off ~out_peer ~out_slot
     first = -1;
     stop = 0;
     stepped = 0;
-    scratch = View.scratch ();
+    scratch = bound_scratch ~states ~ghosts;
     last_committed = 0;
     msgs_out = 0;
   }
@@ -233,17 +245,20 @@ let build ~net ~boundaries : 'q t array =
 
 (* --- read phase -------------------------------------------------------- *)
 
-(* Fill one node's view in [scratch] from the flat array and the ghosts
-   and step it.  Same slots, same order, same liveness filter as
-   [Graph.iter_neighbours] over the global CSR — so the view (and hence
-   the transition) is bit-identical to the flat engine's, as is the rng
-   the step sees. *)
+(* Fill one node's view in [scratch] with the ids of its live
+   neighbours — an owned one as itself, a remote one as the complement
+   of its ghost index — and step it.  Same slots, same order, same
+   liveness filter as [Graph.iter_neighbours] over the global CSR — so
+   the view (and hence the transition) is bit-identical to the flat
+   engine's, as is the rng the step sees.  The ids are ints, so the
+   fill runs no write barrier; nor does a step whose result [next.(v)]
+   already holds physically (an unchanged [self] returned again), as
+   that store is skipped. *)
 let read_one sh ~scratch ~(aut : 'q Fssga.t) ~det ~shared_rng
     ~(rngs : Prng.t array) ~(next : 'q array) v =
   let rng = if det then shared_rng else rngs.(v) in
   View.clear scratch;
   let lo = sh.lo and hi = sh.hi in
-  let states = sh.states in
   let csr = sh.csr in
   let eid = csr.Graph.csr_eid
   and tgt = csr.Graph.csr_tgt
@@ -252,11 +267,11 @@ let read_one sh ~scratch ~(aut : 'q Fssga.t) ~det ~shared_rng
   for i = csr.Graph.csr_off.(v) to csr.Graph.csr_off.(v + 1) - 1 do
     let w = tgt.(i) in
     if edge_alive.(eid.(i)) && node_alive.(w) then
-      View.push scratch
-        (if w >= lo && w < hi then states.(w)
-         else sh.ghosts.(sh.code.(i - sh.slot0)))
+      View.push_id scratch
+        (if w >= lo && w < hi then w else lnot sh.code.(i - sh.slot0))
   done;
-  next.(v) <- aut.Fssga.step ~self:states.(v) ~rng scratch
+  let q' = aut.Fssga.step ~self:sh.states.(v) ~rng scratch in
+  if next.(v) != q' then next.(v) <- q'
 
 let load_live sh = sh.first <- -1
 
@@ -313,8 +328,8 @@ let read ?pool sh ~aut ~det ~shared_rng ~rngs ~next =
           (size sh)
     | Some pool ->
         split sh ~run:(Domain_pool.run pool) (fun a b ->
-            read_range sh ~scratch:(View.scratch ()) ~aut ~det ~shared_rng
-              ~rngs ~next a b))
+            let scratch = bound_scratch ~states:sh.states ~ghosts:sh.ghosts in
+            read_range sh ~scratch ~aut ~det ~shared_rng ~rngs ~next a b))
 
 let stepped sh = sh.stepped
 

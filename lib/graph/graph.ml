@@ -180,7 +180,17 @@ let of_edges ~n us vs =
 (* Edge ids ascend with the visit of their lower endpoint, so the
    endpoint arrays come out in id order and [of_canonical] fills every
    row ascending by edge id.  The degree oracle sizes them; the rows the
-   stream filled must then match it. *)
+   stream filled must then match it.  Symmetry is checked exactly in
+   O(n + m) with one n-cell array, [last]:
+   - while node [v] has not streamed, [last.(v)] heads a chain through
+     the edges recorded towards it, linked through their [ev] cells (-1
+     ends it), since each of those cells would only say [v]; a repeat
+     of [v] in [u]'s list is that chain's head edge coming from [u];
+   - when [v] streams, its chain is walked, every [ev] cell on it is
+     set to [v], and the lower endpoints are marked in their own, now
+     free, [last] cells ([-2v - 2]), flipping to [-2v - 3] as [v] lists
+     them: a lower neighbour [v] lists must carry the mark, and [v]
+     must list as many as were marked. *)
 let of_adjacency ~n ~degree ~iter =
   if n < 0 then invalid_arg "Graph.of_adjacency: negative size";
   let want = Array.make n 0 in
@@ -195,34 +205,60 @@ let of_adjacency ~n ~degree ~iter =
     invalid_arg "Graph.of_adjacency: odd total degree (asymmetric stream)";
   let m = !total / 2 in
   let eu = Array.make m 0 and ev = Array.make m 0 in
-  (* last-seen stamps catch duplicate neighbours in one node's list *)
-  let seen = Array.make n (-1) in
+  let last = Array.make n (-1) in
+  let asymmetric u =
+    invalid_arg
+      (Printf.sprintf "Graph.of_adjacency: asymmetric stream at node %d" u)
+  in
+  let duplicate u v =
+    invalid_arg
+      (Printf.sprintf "Graph.of_adjacency: duplicate edge (%d,%d)" u v)
+  in
   let next_id = ref 0 in
+  (* a node that omitted a lower neighbour; reported after the row
+     check, whose node order decides which node a short stream is
+     blamed on *)
+  let asym = ref (-1) in
   for u = 0 to n - 1 do
+    let mark = (-2 * u) - 2 and listed = (-2 * u) - 3 in
+    let marked = ref 0 in
+    let e = ref last.(u) in
+    while !e >= 0 do
+      let next = ev.(!e) in
+      ev.(!e) <- u;
+      last.(eu.(!e)) <- mark;
+      incr marked;
+      e := next
+    done;
+    let lower = ref 0 in
     iter u (fun v ->
         if v < 0 || v >= n then
           invalid_arg (Printf.sprintf "Graph.of_adjacency: bad neighbour %d" v);
         if v = u then invalid_arg "Graph.of_adjacency: self-loop";
-        if seen.(v) = u then
-          invalid_arg
-            (Printf.sprintf "Graph.of_adjacency: duplicate edge (%d,%d)" u v);
-        seen.(v) <- u;
-        if v > u then begin
+        let h = last.(v) in
+        if v < u then begin
+          if h <> mark then if h = listed then duplicate u v else asymmetric u;
+          last.(v) <- listed;
+          incr lower
+        end
+        else begin
+          if h >= 0 && eu.(h) = u then duplicate u v;
           if !next_id >= m then
             invalid_arg "Graph.of_adjacency: more neighbours than degree";
           eu.(!next_id) <- u;
-          ev.(!next_id) <- v;
+          ev.(!next_id) <- h;
+          last.(v) <- !next_id;
           incr next_id
-        end)
+        end);
+    if !lower <> !marked && !asym < 0 then asym := u
   done;
   if !next_id <> m then
     invalid_arg "Graph.of_adjacency: degree oracle disagrees with stream";
   let g = of_canonical n eu ev in
   for v = 0 to n - 1 do
-    if g.deg.(v) <> want.(v) then
-      invalid_arg
-        (Printf.sprintf "Graph.of_adjacency: asymmetric stream at node %d" v)
+    if g.deg.(v) <> want.(v) then asymmetric v
   done;
+  if !asym >= 0 then asymmetric !asym;
   g
 
 (* Neither the liveness index nor the flip log is copied: copies back

@@ -399,7 +399,18 @@ let test_of_adjacency_rejects () =
   rejects "negative degree" "negative degree" ~degree:(fun _ -> -1) [| [] |];
   rejects "oracle disagrees" "degree oracle disagrees with stream"
     ~degree:(fun _ -> 2)
-    [| [ 1 ]; [ 0 ] |]
+    [| [ 1 ]; [ 0 ] |];
+  (* degrees 1, 2, 1 match the rows of the path (0,1) (1,2), but node 2
+     lists 0, which never listed it, and node 1 omits 0: no row count
+     can see it *)
+  rejects "lower neighbour never listed" "asymmetric stream at node 2"
+    ~degree:(fun v -> if v = 1 then 2 else 1)
+    [| [ 1 ]; [ 2 ]; [ 0 ] |];
+  (* node 1 omits 0, which listed it, and the oracle agrees with the
+     rows rather than with the stream *)
+  rejects "lower neighbour omitted" "asymmetric stream at node 1"
+    ~degree:(fun _ -> 1)
+    [| [ 1 ]; [] |]
 
 (* [of_adjacency] over a random simple graph's neighbour lists, each in
    a shuffled order, gives [create]'s neighbour sets, and exactly
@@ -426,6 +437,40 @@ let prop_of_adjacency_equals_create =
       List.for_all (fun v -> sorted v s = sorted v g) (List.init n Fun.id)
       && Graph.edge_count s = Graph.edge_count g
       && same_as_ref s (Graph_ref.create ~n ~edges:visit))
+
+(* Moving one lower mention of a random simple graph's adjacency to
+   another lower node keeps every degree and every upper mention, so no
+   row count can tell; the build must still raise.  The unchanged
+   stream builds [create]'s graph. *)
+let prop_of_adjacency_rejects_moved_mention =
+  QCheck.Test.make ~name:"of_adjacency rejects a moved lower mention" ~count:200
+    QCheck.(triple (int_range 3 60) (int_range 0 120) small_nat)
+    (fun (n, extra, seed) ->
+      let rng = Prng.create ~seed in
+      let g = Gen.random_connected rng ~n ~extra_edges:extra in
+      let adj = Array.init n (fun v -> Graph.neighbours g v) in
+      (* a node with a lower neighbour and a lower non-neighbour *)
+      let movable u =
+        List.exists (fun v -> v < u) adj.(u)
+        && List.length (List.filter (fun v -> v < u) adj.(u)) < u
+      in
+      let candidates = List.filter movable (List.init n Fun.id) in
+      QCheck.assume (candidates <> []);
+      let pick l = List.nth l (Prng.int rng (List.length l)) in
+      let u = pick candidates in
+      let v = pick (List.filter (fun v -> v < u) adj.(u)) in
+      let w =
+        pick (List.filter (fun w -> not (List.mem w adj.(u))) (List.init u Fun.id))
+      in
+      let moved = Array.copy adj in
+      moved.(u) <- List.map (fun x -> if x = v then w else x) adj.(u);
+      let upper u = List.filter_map (fun v -> if v > u then Some (u, v) else None) in
+      let visit = List.concat_map (fun u -> upper u adj.(u)) (List.init n Fun.id) in
+      same_as_ref (of_lists adj) (Graph_ref.create ~n ~edges:visit)
+      &&
+      match of_lists ~degree:(fun x -> List.length adj.(x)) moved with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
 
 let suite =
   [
@@ -463,4 +508,5 @@ let suite =
     Alcotest.test_case "of_edges rejects" `Quick test_of_edges_rejects;
     Alcotest.test_case "of_adjacency rejects" `Quick test_of_adjacency_rejects;
     QCheck_alcotest.to_alcotest prop_of_adjacency_equals_create;
+    QCheck_alcotest.to_alcotest prop_of_adjacency_rejects_moved_mention;
   ]

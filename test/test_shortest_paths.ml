@@ -7,6 +7,9 @@ module Runner = Symnet_engine.Runner
 module Scheduler = Symnet_engine.Scheduler
 module Fault = Symnet_engine.Fault
 module Sp = Symnet_algorithms.Shortest_paths
+module Chaos = Symnet_engine.Chaos
+module Domain_pool = Symnet_engine.Domain_pool
+module Obs = Symnet_obs
 
 let setup ?(sinks = [ 0 ]) g =
   let cap = Graph.node_count g in
@@ -119,6 +122,90 @@ let prop_random_graphs_converge_correctly =
         (fun (v, s) -> Sp.label s = min n dist.(v))
         (Network.states net))
 
+(* --- shared records = the frozen fresh-record automaton ------------- *)
+
+(* Bursts of corruptions and crash-restarts, and reliable link drops,
+   which only a sharded run feels. *)
+let chaos_spec =
+  "burst:at=3:count=4:kind=corrupt;burst:at=6:count=2:kind=crash:downtime=3;\
+   link=drop:p=0.1:reliable=true"
+
+(* A corruption that builds a fresh record with a random label, which
+   may exceed the cap, as the benchmark's corruptions build theirs. *)
+let corrupt rng net v =
+  let n = Graph.original_size (Network.graph net) in
+  { (Network.state net v) with Sp.label = Prng.int rng (n + 2) }
+
+type plan =
+  | Naive
+  | Dirty
+  | Rotor  (* asynchronous activations through the network's own view *)
+  | Sharded_chaos of int  (* 4 dirty shards under [chaos_spec], domains *)
+  | Pooled  (* naive one-shard rounds cut into slices on 2 domains *)
+
+let plan_name = function
+  | Naive -> "naive"
+  | Dirty -> "dirty"
+  | Rotor -> "rotor"
+  | Sharded_chaos d -> Printf.sprintf "4 dirty shards, chaos, %d domain(s)" d
+  | Pooled -> "naive on a 2-domain pool"
+
+(* Final states, rounds, activations, transitions and the event trace of
+   one run of [automaton] on a random graph with two sinks. *)
+let run_plan automaton plan (n, extra, seed) =
+  let g = Gen.random_connected (Prng.create ~seed) ~n ~extra_edges:extra in
+  let net =
+    Network.init ~rng:(Prng.create ~seed:(seed + 1)) g
+      (automaton ~sinks:[ 0; n / 2 ] ~cap:n)
+  in
+  Network.set_par_cutoff net 0;
+  let buf = Buffer.create 4096 in
+  let recorder = Obs.Recorder.create ~sink:(Obs.Events.buffer buf) () in
+  let pooled domains f =
+    if domains = 1 then f None
+    else Domain_pool.with_pool ~domains (fun pool -> f (Some pool))
+  in
+  let o =
+    match plan with
+    | Naive -> Runner.run ~recorder net
+    | Dirty -> Runner.run ~dirty:true ~recorder net
+    | Rotor -> Runner.run ~scheduler:Scheduler.Rotor ~recorder net
+    | Sharded_chaos domains ->
+        let chaos =
+          match Chaos.of_spec ~seed chaos_spec with
+          | Ok c -> c
+          | Error e -> Alcotest.failf "chaos spec rejected: %s" e
+        in
+        pooled domains (fun pool ->
+            Runner.run ~dirty:true ~shards:4 ~chaos ~corrupt ~max_rounds:400
+              ?pool ~recorder net)
+    | Pooled -> pooled 2 (fun pool -> Runner.run ?pool ~recorder net)
+  in
+  ( Network.states net,
+    o.Runner.rounds,
+    o.Runner.activations,
+    o.Runner.transitions,
+    o.Runner.quiesced,
+    Buffer.contents buf )
+
+(* The automaton shares one record per label; the frozen copy in
+   [sp_ref.ml] builds a fresh one per relabel.  Every plan must give
+   structurally equal final states, equal counts and equal trace bytes,
+   through corruptions with fresh records, crash-restarts, reliable
+   link drops and pools. *)
+let prop_shared_records_equal_reference =
+  QCheck.Test.make ~name:"shared records = frozen reference" ~count:25
+    QCheck.(triple (int_range 8 60) (int_range 0 40) small_nat)
+    (fun gspec ->
+      List.for_all
+        (fun plan ->
+          let got = run_plan Sp.automaton plan gspec in
+          let want = run_plan Sp_ref.automaton plan gspec in
+          got = want
+          || QCheck.Test.fail_reportf "plan %s differs from the reference"
+               (plan_name plan))
+        [ Naive; Dirty; Rotor; Sharded_chaos 1; Sharded_chaos 2; Pooled ])
+
 let suite =
   [
     Alcotest.test_case "grid converges" `Quick test_grid_converges;
@@ -134,4 +221,5 @@ let suite =
       test_routing_follows_shortest_path;
     Alcotest.test_case "route_next at sink" `Quick test_route_next_none_at_sink;
     QCheck_alcotest.to_alcotest prop_random_graphs_converge_correctly;
+    QCheck_alcotest.to_alcotest prop_shared_records_equal_reference;
   ]

@@ -108,6 +108,81 @@ let test_join_with () =
     (View.join_with max (View.of_list [ 3; 6; 1 ]));
   Alcotest.(check (option int)) "empty" None (View.join_with max (View.of_list []))
 
+(* An engine-built view records neighbour ids — owned ones as
+   themselves, ghosts as complements of their index — and reads the
+   states through the arrays it is bound to.  Over random states and a
+   random mix of owned and ghost ids, filled into a reused scratch after
+   an earlier fill, every observer must answer as it does over
+   [View.of_list] of the same states in fill order.  [fold_monoid]
+   with a list-building step checks the order itself. *)
+let prop_id_view_equals_of_list =
+  let gen =
+    QCheck.Gen.(
+      array_size (int_range 1 8) (int_range 0 4) >>= fun owned ->
+      array_size (int_range 0 8) (int_range 0 4) >>= fun ghosts ->
+      let pick =
+        let own = int_bound (Array.length owned - 1) in
+        if Array.length ghosts = 0 then own
+        else
+          oneof [ own; map (fun j -> lnot j) (int_bound (Array.length ghosts - 1)) ]
+      in
+      list_size (int_range 0 12) pick >>= fun prior ->
+      list_size (int_range 0 12) pick >>= fun fill ->
+      return (owned, ghosts, prior, fill))
+  in
+  let print (owned, ghosts, prior, fill) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "owned [%s] ghosts [%s] prior [%s] fill [%s]"
+      (ints (Array.to_list owned)) (ints (Array.to_list ghosts)) (ints prior) (ints fill)
+  in
+  QCheck.Test.make ~name:"id views = of_list in fill order" ~count:500
+    (QCheck.make ~print gen)
+    (fun (owned, ghosts, prior, fill) ->
+      let v = View.scratch () in
+      View.bind v ~states:owned ~ghosts;
+      List.iter (View.push_id v) prior;
+      View.clear v;
+      List.iter (View.push_id v) fill;
+      let r =
+        View.of_list
+          (List.map (fun x -> if x >= 0 then owned.(x) else ghosts.(lnot x)) fill)
+      in
+      let states = [ 0; 1; 2; 3; 4; 5 ] in
+      let preds = [ (fun q -> q mod 2 = 0); (fun q -> q > 2); (fun _ -> true) ] in
+      let both f = f v = f r in
+      both View.is_empty
+      && both (View.join_with max)
+      && both (View.join_with min)
+      && both (View.fold_monoid (fun acc q -> q :: acc) [])
+      && List.for_all
+           (fun p ->
+             both (fun w -> View.exists w p)
+             && both (fun w -> View.for_all w p)
+             && List.for_all
+                  (fun cap -> both (fun w -> View.count_where_upto w p ~cap))
+                  [ 0; 1; 3; 12 ]
+             && List.for_all
+                  (fun modulus -> both (fun w -> View.count_where_mod w p ~modulus))
+                  [ 1; 2; 3 ])
+           preds
+      && List.for_all
+           (fun q ->
+             List.for_all (fun t -> both (fun w -> View.at_least w q t)) [ 0; 1; 2; 4 ]
+             && List.for_all
+                  (fun cap -> both (fun w -> View.count_upto w q ~cap))
+                  [ 0; 1; 3; 12 ]
+             && List.for_all
+                  (fun modulus -> both (fun w -> View.count_mod w q ~modulus))
+                  [ 1; 2; 3 ])
+           states
+      && both (fun w ->
+             View.fold_monoid (fun acc q -> q :: acc) [] (View.map (fun q -> q / 2) w))
+      && both (fun w ->
+             View.fold_monoid (fun acc q -> q :: acc) []
+               (View.filter_map
+                  (fun q -> if q mod 2 = 0 then Some (q + 10) else None)
+                  w)))
+
 let suite =
   [
     Alcotest.test_case "at_least" `Quick test_at_least;
@@ -121,4 +196,5 @@ let suite =
     Alcotest.test_case "join_with" `Quick test_join_with;
     QCheck_alcotest.to_alcotest prop_order_independent;
     QCheck_alcotest.to_alcotest prop_cannot_count_neighbours;
+    QCheck_alcotest.to_alcotest prop_id_view_equals_of_list;
   ]
