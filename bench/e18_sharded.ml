@@ -109,6 +109,9 @@ let run ?(smoke = false) () =
      towards >= 10M-node runs; the bench keeps it modest so it finishes
      in CI, and reports nodes/sec of construction. *)
   let stream_n = if smoke then 10_000 else 2_000_000 in
+  (* settle the heap the rows above leave, so the build's time does not
+     depend on how much of their garbage the collector still owes *)
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let g = Gen.graph_of_stream (Gen.circulant_stream ~n:stream_n ~offsets:[ 1; 2; 5 ]) in
   let build_s = Unix.gettimeofday () -. t0 in

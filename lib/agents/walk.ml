@@ -5,24 +5,16 @@ type t = {
   graph : Graph.t;
   rng : Prng.t;
   mutable pos : int;
-  mutable steps : int;
   mutable last : (Graph.edge * [ `Forward | `Backward ]) option;
 }
 
 let create ~rng graph ~start =
   if not (Graph.is_live_node graph start) then
     invalid_arg "Walk.create: start node is dead";
-  { graph; rng; pos = start; steps = 0; last = None }
+  { graph; rng; pos = start; last = None }
 
 let position t = t.pos
-let steps_taken t = t.steps
 let graph t = t.graph
-
-let record_move t e w =
-  let dir = if (e : Graph.edge).u = t.pos then `Forward else `Backward in
-  t.last <- Some (e, dir);
-  t.pos <- w;
-  t.steps <- t.steps + 1
 
 let step_random t =
   let nbrs = Graph.neighbours t.graph t.pos in
@@ -31,15 +23,11 @@ let step_random t =
   | _ ->
       let w = Prng.choose t.rng (Array.of_list nbrs) in
       (match Graph.edge_between t.graph t.pos w with
-      | Some e -> record_move t e w
+      | Some e ->
+          let dir = if e.Graph.u = t.pos then `Forward else `Backward in
+          t.last <- Some (e, dir);
+          t.pos <- w
       | None -> assert false);
       Some t.pos
-
-let step_to t w =
-  match Graph.edge_between t.graph t.pos w with
-  | Some e -> record_move t e w
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Walk.step_to: %d not adjacent to %d" w t.pos)
 
 let last_edge t = t.last

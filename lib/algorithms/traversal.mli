@@ -35,9 +35,7 @@ val automaton : originator:int -> state Symnet_core.Fssga.t
 (** Run with the synchronous scheduler. *)
 
 val status : state -> status
-val is_hand : status -> bool
 
-val hand_position : state Symnet_engine.Network.t -> int option
 val all_visited : state Symnet_engine.Network.t -> bool
 val visited_count : state Symnet_engine.Network.t -> int
 val arm_nodes : state Symnet_engine.Network.t -> int list

@@ -420,11 +420,6 @@ let sequential_size s = s.sq_w_size
 let parallel_size p = p.pa_w_size
 let mod_thresh_size mt = List.length mt.mt_clauses + 1
 
-let rec prop_size = function
-  | True | False | Mod _ | Thresh _ -> 1
-  | Not p -> prop_size p
-  | And (p1, p2) | Or (p1, p2) -> prop_size p1 + prop_size p2
-
 let rec prop_uses_mod = function
   | True | False | Thresh _ -> false
   | Mod (_, _, m) -> m >= 2

@@ -25,9 +25,6 @@ val run_sequential : sequential -> int list -> int
 (** Process the inputs left to right.  @raise Invalid_argument on an empty
     input or out-of-range state. *)
 
-val sequential_working_state : sequential -> int list -> int
-(** The working state reached before applying beta (used by proofs/tests). *)
-
 (** {1 Parallel programs (Definitions 3.3–3.4)} *)
 
 type parallel = {
@@ -96,9 +93,6 @@ val check_mod_thresh : mod_thresh -> unit
 val multiplicities : q_size:int -> int list -> int array
 (** Multiplicity vector of an input sequence. *)
 
-val eval_prop : prop -> int array -> bool
-(** Evaluate a proposition against a multiplicity vector. *)
-
 val run_mod_thresh : mod_thresh -> int list -> int
 
 (** {1 SM-validity decision (bounded)}
@@ -124,9 +118,6 @@ val parallel_size : parallel -> int
 
 val mod_thresh_size : mod_thresh -> int
 (** Number of clauses (including the default). *)
-
-val prop_size : prop -> int
-(** Number of atoms in a proposition. *)
 
 val prop_uses_mod : prop -> bool
 val mod_thresh_uses_mod : mod_thresh -> bool

@@ -48,11 +48,6 @@ val sequential_to_parallel :
 
 (** {1 Random program generation (for tests and E11)} *)
 
-val random_prop :
-  Symnet_prng.Prng.t -> q_size:int -> max_mod:int -> max_thresh:int ->
-  depth:int -> Sm.prop
-(** Random mod-thresh proposition with bounded atoms. *)
-
 val random_mod_thresh :
   Symnet_prng.Prng.t -> q_size:int -> r_size:int -> clauses:int ->
   max_mod:int -> max_thresh:int -> depth:int -> Sm.mod_thresh

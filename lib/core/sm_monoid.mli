@@ -108,7 +108,6 @@ val get : summary -> int -> int
     digest cache are the intended callers.  Algorithm code should use
     the boxed API. *)
 
-val identity_into : t -> int array -> int -> unit
 val summarize_into : t -> int array -> int -> int -> unit
 
 val combine_into :
@@ -116,7 +115,6 @@ val combine_into :
 (** [combine_into m a aoff b boff dst doff].  [dst]/[doff] may alias the
     {e left} argument, never the right. *)
 
-val absorb_into : t -> int array -> int -> int -> unit
 val finish_at : t -> int array -> int -> int
 
 val blit_to_summary : t -> int array -> int -> summary -> unit

@@ -80,15 +80,6 @@ let build ?par m inputs =
   build_internal ?par t;
   t
 
-let refill ?par t inputs =
-  if Array.length inputs <> t.n then
-    invalid_arg "Sm_segtree.refill: length mismatch";
-  (match par with
-  | Some par when t.size >= par_cutoff ->
-      par ~n:t.size (fun lo hi -> fill_leaves t inputs lo hi)
-  | _ -> fill_leaves t inputs 0 t.size);
-  build_internal ?par t
-
 let get t j =
   if j < 0 || j >= t.n then invalid_arg "Sm_segtree.get: leaf out of range";
   t.leaves.(j)

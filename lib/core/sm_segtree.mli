@@ -24,11 +24,6 @@ val build :
     [fun ~n f -> Domain_pool.run pool ~n (fun _ lo hi -> f lo hi)].
     An empty input builds a tree whose {!result} is [finish identity]. *)
 
-val refill :
-  ?par:(n:int -> (int -> int -> unit) -> unit) -> t -> int array -> unit
-(** Reload every leaf and rebuild in place (same cost as {!build}, no
-    allocation).  @raise Invalid_argument on a length mismatch. *)
-
 val set : t -> int -> int -> unit
 (** [set t j sym] replaces leaf [j] and recombines the root path:
     O(log n), allocation-free.  A no-op when the leaf already holds

@@ -157,9 +157,9 @@ let busy t =
 let reset t =
   (* Drop all in-flight traffic and restart every channel's sequence
      space from zero.  Safe whenever the caller resynchronises ghosts
-     from the authoritative flat states (resync / restore / rebalance):
-     the lost messages are redundant with the resync.  Quarantine flags
-     survive — degradation is a one-way ladder within a run. *)
+     from the authoritative flat states (resync / restore): the lost
+     messages are redundant with the resync.  Quarantine flags survive —
+     degradation is a one-way ladder within a run. *)
   Array.iter
     (Array.iter (fun c ->
          c.next_seq <- 0;

@@ -91,8 +91,8 @@ val channel_busy : 'q t -> src:int -> dst:int -> bool
 val reset : 'q t -> unit
 (** Drop all in-flight traffic and restart every channel's sequence
     space.  Call whenever ghosts are resynchronised from the
-    authoritative flat states (resync / restore / rebalance) — the lost
-    messages are redundant with the resync.  Quarantine flags survive. *)
+    authoritative flat states (resync / restore) — the lost messages
+    are redundant with the resync.  Quarantine flags survive. *)
 
 val quarantine_stalled : 'q t -> (int * int) list
 (** Quarantine every channel still carrying traffic: the fault pipeline

@@ -59,7 +59,7 @@ type 'q session = {
    round).  A chaos spec may carry a channel-fault model; it is
    installed only when [shards] is given, keyed off a seed decorrelated
    from the node-fault streams. *)
-let runtime ?rebalance_every ?shards ?chaos ~scheduler net =
+let runtime ?shards ?chaos ~scheduler net =
   let k =
     match (shards, scheduler) with
     | None, _ -> 1
@@ -67,7 +67,7 @@ let runtime ?rebalance_every ?shards ?chaos ~scheduler net =
     | Some _, _ ->
         invalid_arg "Runner.run: shards requires the synchronous scheduler"
   in
-  let rt = Sharded_network.create ?rebalance_every ~shards:k net in
+  let rt = Sharded_network.create ~shards:k net in
   (match (shards, chaos) with
   | Some _, Some c when Link.active (Chaos.link c) ->
       Sharded_network.configure_link rt
@@ -78,9 +78,8 @@ let runtime ?rebalance_every ?shards ?chaos ~scheduler net =
 
 let start ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
     ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
-    ?(recorder = Obs.Recorder.null) ?pool ?shards ?rebalance_every ?stop
-    ?on_round net =
-  let rt = runtime ?rebalance_every ?shards ?chaos ~scheduler net in
+    ?(recorder = Obs.Recorder.null) ?pool ?shards ?stop ?on_round net =
+  let rt = runtime ?shards ?chaos ~scheduler net in
   let g = Network.graph net in
   let automaton = Network.automaton net in
   Network.set_recorder net recorder;
@@ -374,12 +373,12 @@ let finish s =
 
 let run ?(scheduler = Scheduler.Synchronous) ?(dirty = true) ?(faults = [])
     ?chaos ?corrupt ?recovery ?(max_rounds = 100_000)
-    ?(recorder = Obs.Recorder.null) ?pool ?(domains = 1) ?shards
-    ?rebalance_every ?stop ?on_round net =
+    ?(recorder = Obs.Recorder.null) ?pool ?(domains = 1) ?shards ?stop
+    ?on_round net =
   let run_with ?pool () =
     finish
       (start ~scheduler ~dirty ~faults ?chaos ?corrupt ?recovery ~max_rounds
-         ~recorder ?pool ?shards ?rebalance_every ?stop ?on_round net)
+         ~recorder ?pool ?shards ?stop ?on_round net)
   in
   match pool with
   | Some _ -> run_with ?pool ()

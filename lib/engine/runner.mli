@@ -85,7 +85,6 @@ val start :
   ?recorder:Symnet_obs.Recorder.t ->
   ?pool:Domain_pool.t ->
   ?shards:int ->
-  ?rebalance_every:int ->
   ?stop:(round:int -> 'q Network.t -> bool) ->
   ?on_round:(round:int -> 'q Network.t -> unit) ->
   'q Network.t ->
@@ -132,7 +131,6 @@ val run :
   ?pool:Domain_pool.t ->
   ?domains:int ->
   ?shards:int ->
-  ?rebalance_every:int ->
   ?stop:(round:int -> 'q Network.t -> bool) ->
   ?on_round:(round:int -> 'q Network.t -> unit) ->
   'q Network.t ->
@@ -173,9 +171,8 @@ val run :
     flat engine, whose rounds a pool cuts into equal slices (see
     {!Sharded_network.step}).  Results are bit-identical at every
     (shards, domains) combination — chaos, checkpointing and recovery
-    included (rollbacks restore the partition too) — because all fault
-    derivation and application happens sequentially at round boundaries
-    (see {!Chaos}).
+    included — because all fault derivation and application happens
+    sequentially at round boundaries (see {!Chaos}).
 
     [domains] (default 1) runs the synchronous rounds over that many
     domains; [0] means {!Domain_pool.recommended}.  A fresh pool is
@@ -183,12 +180,12 @@ val run :
     many runs should instead pass a long-lived [pool] (which takes
     precedence over [domains]).  Asynchronous schedulers ignore both.
 
-    [shards] (>= 1) cuts the graph into that many contiguous shards
-    communicating through explicit message queues, with the
-    read/commit/exchange phases parallelised over [pool]/[domains].
-    [rebalance_every] forwards to {!Sharded_network.create}.  When the
-    [chaos] spec carries a [link=] channel-fault model ({!Chaos.link})
-    and [shards] is given, it is installed on the runtime here
+    [shards] (>= 1) cuts the graph into that many contiguous,
+    equal-width shards, fixed for the run, communicating through
+    explicit message queues, with the read/commit/exchange phases
+    parallelised over [pool]/[domains].  When the [chaos] spec carries
+    a [link=] channel-fault model ({!Chaos.link}) and [shards] is given,
+    it is installed on the runtime here
     ({!Sharded_network.configure_link}); other runs ignore it.  A linked
     session that ends — quiescence, budget, stop or give-up — first runs
     the marking ghost pass ({!Sharded_network.resync}), so the readers

@@ -448,15 +448,13 @@ let resync sh ~mark =
   done
 
 (* Owned states live in the flat array, which the network's own
-   checkpoint covers: a shard snapshot is its ghosts, and the count of
-   nodes it stepped last, which the rebalance policy reads. *)
-type 'q snap = { s_ghosts : 'q array; s_stepped : int }
+   checkpoint covers: a shard snapshot is its ghosts. *)
+type 'q snap = 'q array
 
-let snapshot sh = { s_ghosts = Array.copy sh.ghosts; s_stepped = sh.stepped }
+let snapshot sh = Array.copy sh.ghosts
 
 let restore_snap sh snap =
-  Array.blit snap.s_ghosts 0 sh.ghosts 0 (Array.length sh.ghosts);
-  sh.stepped <- snap.s_stepped;
+  Array.blit snap 0 sh.ghosts 0 (Array.length sh.ghosts);
   Array.iter (fun q -> q.q_len <- 0) sh.outboxes
 
 (* --- telemetry accessors ------------------------------------------------ *)

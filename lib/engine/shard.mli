@@ -111,14 +111,14 @@ val resync : 'q t -> mark:bool -> unit
     value. *)
 
 type 'q snap
-(** A shard's ghosts and last stepped count ({!stepped}); the owned
-    states are in the network's own checkpoint. *)
+(** A shard's ghosts; the owned states are in the network's own
+    checkpoint. *)
 
 val snapshot : 'q t -> 'q snap
 
 val restore_snap : 'q t -> 'q snap -> unit
-(** Put back the ghosts and the stepped count, and drop undelivered
-    messages.  The shard must have the snapshot's layout. *)
+(** Put back the ghosts and drop undelivered messages.  The snapshot
+    must come from this shard. *)
 
 (** {1 Telemetry accessors} *)
 

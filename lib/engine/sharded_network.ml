@@ -1,19 +1,22 @@
 (* The synchronous runtime: K partition shards over one flat network,
    with cross-shard state propagation through explicit message queues.
-   K = 1 is the flat engine: one shard, no ghosts, no exchange.
+   K = 1 is the flat engine: one shard, no ghosts, no exchange.  The
+   partition is K equal-width node ranges, laid out by [create] and
+   fixed for the runtime's life: only liveness bits change after a
+   network is made, so the shards, their ghost slots and their channels
+   never move.
 
    Round protocol (one [step]):
      1. resync  — if the flat engine's state epoch moved since our last
                   commit (faults, [set_state], [restore]), refresh every
                   shard's ghosts from the flat array;
-     2. rebalance — optionally recut the partition on frontier imbalance;
-     3. read    — each shard steps its live (dirty) nodes against the
+     2. read    — each shard steps its live (dirty) nodes against the
                   frozen snapshot — its owned slice of the flat array
                   plus its ghosts — in parallel over the pool;
-     4. commit  — changed states are written once to the flat array (the
+     3. commit  — changed states are written once to the flat array (the
                   authority, whose owned slice is the shard's state) and
                   enqueued towards every peer holding a ghost of the node;
-     5. exchange — each destination drains its inboxes in ascending
+     4. exchange — each destination drains its inboxes in ascending
                   (source shard, sequence) order into its ghosts.
 
    Determinism: a node's view is a pure function of last round's
@@ -23,9 +26,7 @@
    computes the same round as [Network.sync_step], bit for bit:
    states, change flags, counters, probabilistic draws (same per-node
    streams) and, with a recorder attached, the same telemetry bytes
-   (the commit phase then runs sequentially in ascending node order).
-   The partition is invisible to results, which is what makes the
-   rebalance hook safe. *)
+   (the commit phase then runs sequentially in ascending node order). *)
 
 module Graph = Symnet_graph.Graph
 module Analysis = Symnet_graph.Analysis
@@ -36,14 +37,9 @@ module Clock = Symnet_obs.Clock
 
 type 'q t = {
   net : 'q Network.t;
-  csr : Graph.csr;
   k : int;
-  mutable shards : 'q Shard.t array;
-  mutable boundaries : int array;  (* k + 1 entries, 0 .. n *)
+  shards : 'q Shard.t array;  (* K equal-width node ranges, ascending *)
   mutable seen_epoch : int;
-  rebalance_every : int;  (* 0 = never *)
-  imbalance : float;  (* rebalance when max/mean frontier exceeds this *)
-  mutable rounds : int;
   (* adversarial link layer (None = direct drain, the default) *)
   mutable link : 'q Link.t option;
   mutable link_round : int;
@@ -51,8 +47,6 @@ type 'q t = {
          saved in checkpoints so a rollback replays the same faults *)
   mutable ghost_woke : bool;
       (* set by a linked exchange whose delivery changed a ghost *)
-  mutable bridge_pairs : (int * int) list;
-      (* endpoints of bridge edges, for target=cut channel selection *)
   (* cumulative phase time (always measured — a handful of clock reads
      per round — so exchange share is reportable without a recorder) *)
   mutable read_ns : int;
@@ -62,70 +56,33 @@ type 'q t = {
   per_dst : int array;  (* per-destination drain counts, reused *)
 }
 
-(* Owner shard of a global node id under the current boundaries. *)
-let owner t v =
-  let lo = ref 0 and hi = ref t.k in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if t.boundaries.(mid) <= v then lo := mid else hi := mid
-  done;
-  !lo
-
-(* Channels crossing a bridge edge, under the current partition. *)
-let refresh_cut t =
-  match t.link with
-  | None -> ()
-  | Some lk ->
-      let pairs =
-        List.concat_map
-          (fun (u, v) ->
-            let su = owner t u and sv = owner t v in
-            if su = sv then [] else [ (su, sv); (sv, su) ])
-          t.bridge_pairs
-        |> List.sort_uniq compare
-      in
-      Link.set_cut lk pairs
-
-let layout t boundaries =
-  t.boundaries <- boundaries;
-  t.shards <- Shard.build ~net:t.net ~boundaries;
-  (* the partition moved: ghost slots changed, so any in-flight link
-     traffic is meaningless — drop it (ghosts were just rebuilt from the
-     authoritative flat states) and remap the cut channels *)
-  Option.iter Link.reset t.link;
-  refresh_cut t
-
-let equal_boundaries ~n ~k = Array.init (k + 1) (fun i -> i * n / k)
-
-let create ?(rebalance_every = 0) ?(imbalance = 2.0) ~shards:k net =
+let create ~shards:k net =
   if k < 1 then invalid_arg "Sharded_network.create: shards >= 1 required";
-  if rebalance_every < 0 then
-    invalid_arg "Sharded_network.create: negative rebalance interval";
   let n = Graph.original_size (Network.graph net) in
-  let t =
-    {
-      net;
-      csr = Graph.csr (Network.graph net);
-      k;
-      shards = [||];
-      boundaries = [||];
-      seen_epoch = Network.state_epoch net;
-      rebalance_every;
-      imbalance;
-      rounds = 0;
-      link = None;
-      link_round = 0;
-      ghost_woke = false;
-      bridge_pairs = [];
-      read_ns = 0;
-      commit_ns = 0;
-      exchange_ns = 0;
-      messages = 0;
-      per_dst = Array.make k 0;
-    }
-  in
-  layout t (equal_boundaries ~n ~k);
-  t
+  let boundaries = Array.init (k + 1) (fun i -> i * n / k) in
+  {
+    net;
+    k;
+    shards = Shard.build ~net ~boundaries;
+    seen_epoch = Network.state_epoch net;
+    link = None;
+    link_round = 0;
+    ghost_woke = false;
+    read_ns = 0;
+    commit_ns = 0;
+    exchange_ns = 0;
+    messages = 0;
+    per_dst = Array.make k 0;
+  }
+
+(* Owner shard of a global node id: the last shard that starts at or
+   below it (an empty shard starts where the next one does). *)
+let owner t v =
+  let s = ref (t.k - 1) in
+  while Shard.lo t.shards.(!s) > v do
+    decr s
+  done;
+  !s
 
 let resync t =
   (* in-flight link traffic is about to be dropped: every ghost the pass
@@ -145,88 +102,26 @@ let configure_link t ~seed spec =
   if not (Link.active spec) then t.link <- None
   else begin
     let lk = Link.create ~seed ~shards:t.k spec in
-    t.link <- Some lk;
-    (* bridge endpoints only matter for target=cut faults, but they are
-       one DFS to compute and stable under liveness-free runs — derive
-       them once here, remap to shard pairs on every layout change *)
-    t.bridge_pairs <-
-      (if
-         List.exists
-           (fun (f : Link.fault) -> f.Link.target = Link.Cut_channels)
-           spec.Link.faults
-       then
-         let g = Network.graph t.net in
-         List.map
-           (fun eid ->
-             let e = Graph.edge g eid in
-             (e.Graph.u, e.Graph.v))
-           (Analysis.bridges g)
-       else []);
-    refresh_cut t
+    (* target=cut faults hit the channels that carry a bridge edge: one
+       DFS, mapped to shard pairs once, since the partition never moves *)
+    if
+      List.exists
+        (fun (f : Link.fault) -> f.Link.target = Link.Cut_channels)
+        spec.Link.faults
+    then begin
+      let g = Network.graph t.net in
+      List.concat_map
+        (fun eid ->
+          let e = Graph.edge g eid in
+          let su = owner t e.Graph.u and sv = owner t e.Graph.v in
+          if su = sv then [] else [ (su, sv); (sv, su) ])
+        (Analysis.bridges g)
+      |> List.sort_uniq compare |> Link.set_cut lk
+    end;
+    t.link <- Some lk
   end
 
 let link_runtime t = t.link
-
-(* --- rebalancing ------------------------------------------------------- *)
-
-(* Recut the partition so each shard carries an equal share of the
-   current load: a live dirty node (likely to step next round) weighs 4,
-   a live clean node 1, a dead node 0.  Boundaries are the weight
-   quantiles, so a hot region is split across more shards.  Rebuilding
-   from the flat array (authoritative between rounds) keeps results
-   untouched — only the work assignment moves. *)
-let rebalance t =
-  let n = Graph.original_size (Network.graph t.net) in
-  let dirty = Network.raw_dirty t.net in
-  let use_dirty = Array.length dirty > 0 in
-  let alive = t.csr.Graph.csr_node_alive in
-  let weight v =
-    if not alive.(v) then 0 else if use_dirty && dirty.(v) then 4 else 1
-  in
-  let total = ref 0 in
-  for v = 0 to n - 1 do
-    total := !total + weight v
-  done;
-  if !total > 0 then begin
-    let nb = Array.make (t.k + 1) 0 in
-    nb.(t.k) <- n;
-    let v = ref 0 and acc = ref 0 in
-    for s = 1 to t.k - 1 do
-      let target = s * !total / t.k in
-      while !acc < target && !v < n do
-        acc := !acc + weight !v;
-        incr v
-      done;
-      nb.(s) <- !v
-    done;
-    if nb <> t.boundaries then begin
-      (* the new layout drops in-flight link traffic, and a dropped
-         update is a lost wake-up: readers that stepped against the
-         stale ghost went clean, and its delivery would have re-marked
-         them.  So a linked run first runs the resync ghost pass over
-         the old shards, which marks the neighbourhood of every ghost
-         that differs from the authority (unlinked ghosts are exact) *)
-      if Option.is_some t.link then
-        Array.iter (fun sh -> Shard.resync sh ~mark:true) t.shards;
-      layout t nb
-    end
-  end
-
-let maybe_rebalance t =
-  if
-    t.rebalance_every > 0 && t.rounds > 0
-    && t.rounds mod t.rebalance_every = 0
-  then begin
-    let max_f = ref 0 and sum = ref 0 in
-    Array.iter
-      (fun sh ->
-        let f = Shard.stepped sh in
-        if f > !max_f then max_f := f;
-        sum := !sum + f)
-      t.shards;
-    let mean = float_of_int !sum /. float_of_int t.k in
-    if mean > 0. && float_of_int !max_f > t.imbalance *. mean then rebalance t
-  end
 
 (* --- one synchronous round --------------------------------------------- *)
 
@@ -383,7 +278,6 @@ let step ?pool ?(dirty = false) t =
     resync t;
     Span.record sp Span.Shard_resync ~shard:0 ~round:rd ~t0
   end;
-  maybe_rebalance t;
   let aut = Network.automaton net in
   let det = Fssga.is_deterministic aut in
   let shared_rng = Network.rng net in
@@ -457,7 +351,6 @@ let step ?pool ?(dirty = false) t =
   t.commit_ns <- t.commit_ns + (c2 - c1);
   (* a lone shard has nothing to exchange *)
   let busy = k > 1 && exchange t ~par ~dirty ~recorder ~sp ~rd ~c0:c2 in
-  t.rounds <- t.rounds + 1;
   t.seen_epoch <- Network.state_epoch net;
   !ch > 0 || busy
 
@@ -465,32 +358,22 @@ let step ?pool ?(dirty = false) t =
 
 type 'q checkpoint = {
   sc_net : 'q Network.checkpoint;
-  sc_boundaries : int array;
   sc_shards : 'q Shard.snap array;
-  sc_rounds : int;
   sc_link_round : int;
 }
 
 let checkpoint t =
   {
     sc_net = Network.checkpoint t.net;
-    sc_boundaries = Array.copy t.boundaries;
     sc_shards = Array.map Shard.snapshot t.shards;
-    sc_rounds = t.rounds;
     sc_link_round = t.link_round;
   }
 
-(* A restore is a pure function of the checkpoint: the partition, the
-   ghosts, the stepped counts and round count the rebalance policy
-   reads, and the link clock all come back as they were, whichever
-   partition the run had moved to since. *)
+(* A restore is a pure function of the checkpoint: the ghosts and the
+   link clock come back as they were, and the partition never moved. *)
 let restore t cp =
   Network.restore t.net cp.sc_net;
-  (* the partition moved since the checkpoint (rebalance): lay out the
-     checkpoint's, whose shards the snapshots fit *)
-  if cp.sc_boundaries <> t.boundaries then layout t (Array.copy cp.sc_boundaries);
   Array.iteri (fun i sh -> Shard.restore_snap sh cp.sc_shards.(i)) t.shards;
-  t.rounds <- cp.sc_rounds;
   (* rewind the fault clock and clear the channels: replaying the same
      rounds re-derives the same link faults (rollback stability) *)
   t.link_round <- cp.sc_link_round;

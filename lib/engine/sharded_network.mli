@@ -5,14 +5,15 @@
     layout that costs O(1) to create; every synchronous round the
     {!Runner} drives goes through one of these.
 
-    The graph's node range is cut into K contiguous shards, each owning
-    a slice of the flat state array (one state array, no per-shard
-    copy), ghost buffers for remote neighbours and per-peer outboxes
-    (see {!Shard}).  A round is: parallel shard-local read against the
-    frozen snapshot (owned slice + ghosts), commit to the flat array
-    (which stays the single source of truth for states, counters and
-    telemetry), then a deterministic exchange draining each
-    destination's inboxes in ascending (source shard, sequence) order.
+    The graph's node range is cut into K contiguous shards of equal
+    width, fixed for the runtime's life, each owning a slice of the flat
+    state array (one state array, no per-shard copy), ghost buffers for
+    remote neighbours and per-peer outboxes (see {!Shard}).  A round
+    is: parallel shard-local read against the frozen snapshot (owned
+    slice + ghosts), commit to the flat array (which stays the single
+    source of truth for states, counters and telemetry), then a
+    deterministic exchange draining each destination's inboxes in
+    ascending (source shard, sequence) order.
 
     Results are bit-identical to {!Network.sync_step} at {e every}
     (shards, domains) combination: states, change flags,
@@ -29,12 +30,10 @@
 
 type 'q t
 
-val create : ?rebalance_every:int -> ?imbalance:float -> shards:int -> 'q Network.t -> 'q t
-(** Wrap a network in a K-shard runtime ([shards >= 1]; boundaries start
-    equal-width).  [rebalance_every] (default 0 = never) checks frontier
-    balance every that many rounds and recuts the partition when the
-    largest shard frontier exceeds [imbalance] (default 2.0) times the
-    mean — a work-assignment change only, invisible to results. *)
+val create : shards:int -> 'q Network.t -> 'q t
+(** Wrap a network in a K-shard runtime ([shards >= 1]): K equal-width
+    node ranges, laid out here once and fixed for the runtime's life.
+    @raise Invalid_argument when [shards < 1]. *)
 
 val step : ?pool:Domain_pool.t -> ?dirty:bool -> 'q t -> bool
 (** Run one synchronous round.  [dirty] (default false) steps only the
@@ -50,11 +49,6 @@ val step : ?pool:Domain_pool.t -> ?dirty:bool -> 'q t -> bool
     Returns [true] if any state changed, or if link traffic is still in
     flight. *)
 
-val rebalance : 'q t -> unit
-(** Force a partition recut along current load quantiles (dead nodes
-    weigh 0, dirty nodes 4, other live nodes 1).  Normally invoked by
-    the [rebalance_every] policy; exposed for tests and tooling. *)
-
 (** {1 Adversarial link layer} *)
 
 val configure_link : 'q t -> seed:int -> Link.spec -> unit
@@ -65,11 +59,11 @@ val configure_link : 'q t -> seed:int -> Link.spec -> unit
     every (shards, domains) combination.  Late deliveries that change a
     ghost re-mark the ghost's neighbourhood dirty, so dirty-frontier
     scheduling stays sound under message delay.  [step] keeps returning
-    [true] while any channel has traffic in flight, and any resync /
-    restore / rebalance resets the channels (ghosts are refreshed from
-    the authoritative flat states, making in-flight data redundant).
-    With [target=cut] faults, bridge edges are computed here and
-    remapped to shard pairs on every partition change. *)
+    [true] while any channel has traffic in flight, and a resync or a
+    restore resets the channels (ghosts are refreshed from the
+    authoritative flat states, making in-flight data redundant).  With
+    [target=cut] faults, the bridge edges of the graph as it is now are
+    computed here and mapped once to the shard pairs they cross. *)
 
 val link_runtime : 'q t -> 'q Link.t option
 (** The attached link runtime, for counters and degrade policies. *)
@@ -89,17 +83,14 @@ type 'q checkpoint
 
 val checkpoint : 'q t -> 'q checkpoint
 (** Checkpoint the underlying network (states, counters, graph liveness)
-    plus the partition, per-shard ghosts and stepped counts, the round
-    count and the link round. *)
+    plus the per-shard ghosts and the link round. *)
 
 val restore : 'q t -> 'q checkpoint -> unit
-(** Restore network and shards, a pure function of the checkpoint.  If
-    the partition moved since the checkpoint (a rebalance), the
-    checkpoint's layout is rebuilt first; either way the checkpoint's
-    ghosts are put back.  With a link runtime, the channels are then
-    reset and every ghost that differs from the restored authority is
-    refreshed and wakes its readers, as {!resync} does: its update may
-    have been in flight at checkpoint time. *)
+(** Restore network and ghosts, a pure function of the checkpoint,
+    which must come from this runtime.  With a link runtime, the
+    channels are then reset and every ghost that differs from the
+    restored authority is refreshed and wakes its readers, as {!resync}
+    does: its update may have been in flight at checkpoint time. *)
 
 (** {1 Telemetry} *)
 

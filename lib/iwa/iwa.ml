@@ -117,8 +117,6 @@ let step r =
 
 let steps r = r.step_count
 let agent_position r = r.pos
-let agent_state r = r.state
-let label_of r v = r.node_labels.(v)
 let labels r = Array.copy r.node_labels
 let halted r = r.is_halted
 

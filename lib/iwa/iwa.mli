@@ -63,8 +63,6 @@ val step : run -> bool
 
 val steps : run -> int
 val agent_position : run -> int
-val agent_state : run -> int
-val label_of : run -> int -> int
 val labels : run -> int array
 val halted : run -> bool
 

@@ -48,12 +48,8 @@ type t = Disabled | Enabled of enabled
 let null = Disabled
 
 let create ?(sink = Events.null) ?(activation_events = true)
-    ?(spans = Span.null) ?(timeline = Timeline.null) ?timing () =
-  let timing =
-    match timing with
-    | Some b -> b
-    | None -> Span.enabled spans || Timeline.enabled timeline
-  in
+    ?(spans = Span.null) ?(timeline = Timeline.null) () =
+  let timing = Span.enabled spans || Timeline.enabled timeline in
   let reg = Metrics.create () in
   let h_round_ns =
     (* when not timing, park the instrument in a throwaway registry so

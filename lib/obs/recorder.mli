@@ -36,7 +36,6 @@ val create :
   ?activation_events:bool ->
   ?spans:Span.t ->
   ?timeline:Timeline.t ->
-  ?timing:bool ->
   unit ->
   t
 (** An enabled recorder.  [sink] (default {!Events.null}) receives the
@@ -49,8 +48,8 @@ val create :
     contributes [Round] spans and the engine/runner contribute
     read/merge/commit/fault/checkpoint/recovery spans via {!spans}.
     [timeline] (default {!Timeline.null}) receives one row per round.
-    [timing] (default: on iff [spans] or [timeline] is enabled) gates
-    the per-round clock reads and the [round_ns] histogram. *)
+    Timing — the per-round clock reads and the [round_ns] histogram —
+    is on exactly when [spans] or [timeline] is enabled. *)
 
 val enabled : t -> bool
 val metrics : t -> Metrics.t option

@@ -61,7 +61,6 @@ val rows : t -> row list
 
 (** {1 Serialisation} *)
 
-val row_to_json : row -> Jsonx.t
 val row_of_json : Jsonx.t -> (row, string) result
 
 val to_jsonl : t -> string

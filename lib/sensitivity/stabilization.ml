@@ -47,8 +47,6 @@ let probe ~rng ~automaton ~graph ~corrupt ~legitimate ~trials ~max_rounds =
   done;
   verdict_of ~trials ~recovered:!recovered ~total_rounds:!total_rounds
 
-let critical_target chi = Chaos.Critical (fun ~round:_ -> chi ())
-
 let mttr ~rng ~automaton ~graph ~chaos ?corrupt ~legitimate ?(settle_rounds = 500)
     ~trials ~max_rounds () =
   let recovered = ref 0 in

@@ -37,12 +37,6 @@ val probe :
     network quiesces illegitimate (it provably never will recover), or
     the round budget is spent. *)
 
-val critical_target : (unit -> int list) -> Symnet_engine.Chaos.target
-(** Aim a chaos process at the χ-critical nodes of a running algorithm
-    (paper §2): wrap any thunk producing the current critical set — e.g.
-    the [critical] field of a {!Sensitivity.runner} — as a
-    {!Symnet_engine.Chaos.target}. *)
-
 val mttr :
   rng:Symnet_prng.Prng.t ->
   automaton:'q Symnet_core.Fssga.t ->

@@ -110,12 +110,11 @@ let prop_reliable_drop_matches_flat =
    rewind; the link round counter is rewound with it, so both replays
    draw the same faults.  Returns the two replays' round results and
    final states. *)
-let replays ~seed ~link_seed ~before ~steps ~dirty ~rebalance_every ~spec
-    (n, extra) =
+let replays ~seed ~link_seed ~before ~steps ~dirty ~spec (n, extra) =
   let g = graph_of (n, extra) in
   let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
   Network.set_par_cutoff net 0;
-  let sh = Sharded.create ~rebalance_every ~imbalance:1.01 ~shards:3 net in
+  let sh = Sharded.create ~shards:3 net in
   Sharded.configure_link sh ~seed:link_seed spec;
   let round () =
     let changed = Sharded.step ~dirty sh in
@@ -148,39 +147,36 @@ let link_spec ~drop ~delay =
     backoff = 1;
   }
 
-(* Two cases per graph: the plain one (no recuts, naive rounds, 4
-   rounds before the checkpoint and 6 after), and one that may recut
-   every [rebalance_every] rounds under heavier losses, stepping dirty.
-   There a run ahead usually leaves a partition other than the
-   checkpoint's, so one restore lays the checkpoint's out again and the
-   other does not; the checkpoint's ghosts can be stale by in-flight
-   updates, which the restore must refresh and whose readers it must
-   wake on both paths alike. *)
+(* Two cases per graph: the plain one (naive rounds, 4 rounds before
+   the checkpoint and 6 after), and one under heavier losses, stepping
+   dirty.  The checkpoint's ghosts can be stale by in-flight updates,
+   which the restore must refresh and whose readers it must wake. *)
 let prop_checkpoint_restore_deterministic =
   QCheck.Test.make ~count:10 ~name:"link faults: checkpoint/restore replays identically"
-    QCheck.(triple graph_arb (int_range 1 1000) (int_range 1 3))
-    (fun (gspec, seed, rebalance_every) ->
+    QCheck.(pair graph_arb (int_range 1 1000))
+    (fun (gspec, seed) ->
       let r1, r2 =
         replays ~seed:11 ~link_seed:0x11ca ~before:4 ~steps:6 ~dirty:false
-          ~rebalance_every:0 ~spec:(link_spec ~drop:0.2 ~delay:0.15) gspec
+          ~spec:(link_spec ~drop:0.2 ~delay:0.15) gspec
       in
       let d1, d2 =
         replays ~seed ~link_seed:seed ~before:3 ~steps:8 ~dirty:true
-          ~rebalance_every ~spec:(link_spec ~drop:0.3 ~delay:0.2) gspec
+          ~spec:(link_spec ~drop:0.3 ~delay:0.2) gspec
       in
       r1 = r2 && d1 = d2)
 
-(* The pinned repro: 40-node random graphs recut every round.  Before
-   the restore put back the checkpoint's ghosts and stepped counts on
-   both paths and woke the stale ghosts' readers, seeds 62, 71 and 161
-   of 1-200 replayed to different states. *)
+(* The pinned repro: 40-node random graphs on a fixed partition.  Both
+   replays put back the same checkpointed ghosts, so their states agree
+   even without the restore's marking ghost pass; but without it, a
+   ghost the checkpoint holds stale by an in-flight update leaves its
+   readers clean, and [Audit] finds clean nodes whose re-step changes
+   them on each of seeds 62, 71 and 161. *)
 let test_linked_rollback_is_pure () =
   List.iter
     (fun seed ->
       let a, b =
         replays ~seed ~link_seed:seed ~before:3 ~steps:8 ~dirty:true
-          ~rebalance_every:1 ~spec:(link_spec ~drop:0.3 ~delay:0.2)
-          (40, seed mod 9)
+          ~spec:(link_spec ~drop:0.3 ~delay:0.2) (40, seed mod 9)
       in
       Alcotest.(check bool) (Printf.sprintf "seed %d replays agree" seed) true (a = b))
     [ 62; 71; 161 ]
@@ -256,61 +252,6 @@ let prop_own_state_writes_reach_fixed_point =
       let o, net =
         run_with_own_state_writes ~g:(graph_of gspec) ~seed
           ~spec:"link=drop:p=0.3:reliable=true" ~shards ~every
-      in
-      o.Runner.quiesced && Network.states net = flat)
-
-(* --- a recut drops in-flight traffic ------------------------------------ *)
-
-(* A recut ([rebalance]) rebuilds the ghosts from the authority and
-   drops in-flight traffic, which loses the same wake-up as a resync: a
-   reader that stepped against a stale ghost ended clean, and only the
-   dropped delivery would have re-marked it.  A dirty sharded run that
-   may recut every [rebalance_every] rounds, under reliable drops and
-   with no external writes. *)
-let run_with_recuts ~g ~seed ~spec ~shards ~rebalance_every =
-  let n = Graph.original_size g in
-  let net = Network.init ~rng:(Prng.create ~seed) g (sp_automaton n) in
-  Network.set_par_cutoff net 0;
-  let chaos = chaos_of_spec ~seed spec in
-  let o =
-    Audit.finish (fun ~on_round ->
-        Runner.start ~dirty:true ~shards ~rebalance_every ~chaos ~on_round net)
-  in
-  (o, net)
-
-(* Without the wake-up, seeds 3 and 11 of 1-30 quiesce with 1,204
-   wrong labels each. *)
-let test_recut_wakes_stale_ghost_readers () =
-  let n = 1600 in
-  let o, net =
-    run_with_recuts ~g:(Gen.path n) ~seed:3
-      ~spec:"link=drop:p=0.2:reliable=true" ~shards:4 ~rebalance_every:1
-  in
-  let wrong = ref 0 in
-  for v = 0 to n - 1 do
-    if A.Shortest_paths.label (Network.state net v) <> v then incr wrong
-  done;
-  Alcotest.(check bool) "quiesced" true o.Runner.quiesced;
-  Alcotest.(check int) "wrong labels" 0 !wrong
-
-let prop_recuts_reach_fixed_point =
-  QCheck.Test.make ~count:40
-    ~name:"recuts under reliable drops: fault-free fixed point"
-    QCheck.(
-      quad
-        (pair (int_range 8 40) (int_range 0 8))
-        (int_range 1 1000) (int_range 1 3) (int_range 2 4))
-    (fun (((n, _) as gspec), seed, rebalance_every, shards) ->
-      let flat =
-        let net =
-          Network.init ~rng:(Prng.create ~seed) (graph_of gspec) (sp_automaton n)
-        in
-        let (_ : Runner.outcome) = Runner.run ~max_rounds:200 net in
-        Network.states net
-      in
-      let o, net =
-        run_with_recuts ~g:(graph_of gspec) ~seed
-          ~spec:"link=drop:p=0.3:reliable=true" ~shards ~rebalance_every
       in
       o.Runner.quiesced && Network.states net = flat)
 
@@ -599,9 +540,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_own_state_writes_reach_fixed_point;
     Alcotest.test_case "resync wakes stale-ghost readers" `Quick
       test_resync_wakes_stale_ghost_readers;
-    Alcotest.test_case "recut wakes stale-ghost readers" `Quick
-      test_recut_wakes_stale_ghost_readers;
-    QCheck_alcotest.to_alcotest prop_recuts_reach_fixed_point;
     Alcotest.test_case "session end wakes stale-ghost readers" `Quick
       test_session_end_wakes_stale_ghost_readers;
     QCheck_alcotest.to_alcotest prop_stop_and_resume_reaches_fixed_point;

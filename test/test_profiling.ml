@@ -359,8 +359,8 @@ let test_round_ns_gated_by_timing () =
     (has_round_ns (Obs.Recorder.create ()));
   Alcotest.(check bool) "present with spans" true
     (has_round_ns (Obs.Recorder.create ~spans:(Span.create ()) ()));
-  Alcotest.(check bool) "present with explicit timing" true
-    (has_round_ns (Obs.Recorder.create ~timing:true ()))
+  Alcotest.(check bool) "present with a timeline" true
+    (has_round_ns (Obs.Recorder.create ~timeline:(Timeline.create ()) ()))
 
 (* --- profiled runs ---------------------------------------------------- *)
 

@@ -539,7 +539,8 @@ let test_rewind_collision_digest () =
    engine supports.  After every operation the version-keyed cache is
    probed: a hit whose digest differs from the live graph is a stale
    read — the collision the strictly monotonic version makes
-   impossible. *)
+   impossible.  After every round the dirty set must be sound
+   ([Audit]). *)
 type op = Rounds of int | Kill_node of int | Kill_edge of int | Cp | Restore
 
 let op_of (k, arg) =
@@ -577,7 +578,8 @@ let prop_version_keyed_never_stale =
                   for _ = 1 to k do
                     if Runner.session_result !session <> None then
                       session := mk ();
-                    ignore (Runner.step !session)
+                    ignore (Runner.step !session);
+                    Audit.check ~runtime:(Runner.session_runtime !session) net
                   done
               | Kill_node v ->
                   if Graph.is_live_node g v then Graph.remove_node g v
@@ -906,8 +908,9 @@ let test_daemon_component_queries () =
 (* Mutations over the wire mark their neighbourhood as the runner's
    fault pipeline does, so on a quiesced 12x12 grid the first round
    after each steps at most the nodes whose view it changed (not all
-   144), and the network settles on the states a naive run reaches from
-   the same post-mutation state. *)
+   144), the dirty set stays sound after every round ([Audit]), and the
+   network settles on the states a naive run reaches from the same
+   post-mutation state. *)
 let test_daemon_mutations_wake_neighbourhood () =
   let side = 12 in
   let g = Gen.grid ~rows:side ~cols:side in
@@ -924,6 +927,7 @@ let test_daemon_mutations_wake_neighbourhood () =
         let s =
           Runner.start ~dirty:true
             ~on_round:(fun ~round:_ net ->
+              Audit.check net;
               after_round := Network.activations net :: !after_round)
             net
         in

@@ -3,9 +3,9 @@
    to the reference [Network.sync_step] at every (shards, domains)
    combination — change flags, final states, activation/transition
    counts and telemetry — for deterministic and probabilistic automata,
-   naive and dirty stepping, under chaos, across checkpoint/restore,
-   through partition rebalances and external state writes.  Every dirty
-   round must leave the dirty set sound ([Audit]). *)
+   naive and dirty stepping, under chaos, across checkpoint/restore
+   and through external state writes.  Every dirty round must leave the
+   dirty set sound ([Audit]). *)
 
 module Gen = Symnet_graph.Gen
 module Graph = Symnet_graph.Graph
@@ -197,38 +197,6 @@ let test_runner_retry_matches_flat () =
         (run (Some k) = flat))
     shard_counts
 
-(* Rebalancing mid-run only moves the work assignment: states stay
-   identical to the flat run even when a recut fires every round under
-   heavily skewed load (a corner of the graph kept hot by faults). *)
-let prop_rebalance_preserves_results =
-  QCheck.Test.make ~name:"rebalance preserves bit-identity" ~count:20
-    QCheck.(triple (int_range 6 50) (int_range 0 50) (int_range 2 10))
-    (fun (n, extra, rounds) ->
-      let g = graph_of (n, extra) in
-      let mk () =
-        Network.init ~rng:(Prng.create ~seed:4) (Graph.copy g) (sp_automaton n)
-      in
-      let flat = drive_flat ~rounds ~dirty:true (mk ()) in
-      dirty_matches_reference ~mk ~rounds ~dirty:true flat
-      && List.for_all
-           (fun shards ->
-             let net = mk () in
-             Network.set_par_cutoff net 0;
-             let sh =
-               Sharded.create ~rebalance_every:1 ~imbalance:1.01 ~shards net
-             in
-             let flags =
-               List.init rounds (fun i ->
-                   (* an explicit recut every other round, on top of the
-                      policy, exercises migration paths deterministically *)
-                   if i mod 2 = 1 then Sharded.rebalance sh;
-                   let changed = Sharded.step ~dirty:true sh in
-                   Audit.check ~runtime:sh net;
-                   changed)
-             in
-             observe net flags = flat)
-           shard_counts)
-
 (* External writes between rounds (set_state behind the wrapper's back)
    are picked up through the epoch counter: the sharded run must follow
    the flat run through the same mid-run writes, naive and dirty, on one
@@ -345,7 +313,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_probabilistic;
     QCheck_alcotest.to_alcotest prop_runner_chaos_trace_bytes;
     QCheck_alcotest.to_alcotest prop_checkpoint_restore;
-    QCheck_alcotest.to_alcotest prop_rebalance_preserves_results;
     QCheck_alcotest.to_alcotest prop_external_writes_resync;
     Alcotest.test_case "runner retry rollback matches flat" `Quick
       test_runner_retry_matches_flat;
